@@ -36,12 +36,11 @@ use crate::qp::Contribution;
 use crate::wrapper::SourceRegistry;
 use iql::ast::{Expr, SchemeRef};
 use iql::error::EvalError;
-use iql::eval::{Evaluator, ExtentProvider, PlanCache};
+use iql::eval::{EngineConfig, Evaluator, ExtentProvider};
 use iql::lru::LruMap;
 use iql::rewrite;
 use iql::value::{Bag, Value};
 use iql::FetchPool;
-use iql::IndexStore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread;
@@ -242,6 +241,10 @@ impl ExtentMemo {
 /// A shareable handle to an [`ExtentMemo`].
 pub type SharedExtentCache = Arc<ExtentMemo>;
 
+/// The settings a provider's evaluators run under until
+/// [`VirtualExtents::with_engine`] attaches others.
+static DEFAULT_ENGINE: EngineConfig = EngineConfig::new();
+
 /// An [`ExtentProvider`] for integrated schemas: resolves virtual schemes through
 /// their contributions and memoises results. Safe to share across threads (see the
 /// module docs for the concurrency story).
@@ -257,25 +260,9 @@ pub struct VirtualExtents<'a> {
     fallback_sources: Vec<String>,
     /// Evaluate a scheme's contributions on scoped worker threads when ≥ 2.
     parallel: bool,
-    /// Plan chains of joined generators with the bushy enumerator (on by
-    /// default; off restricts the planner to the greedy chain reorder).
-    bushy: bool,
-    /// Plan cache attached to the evaluators spawned by [`VirtualExtents::answer`].
-    plan_cache: Option<Arc<PlanCache>>,
-    /// Secondary point-lookup index store attached to spawned evaluators (see
-    /// [`iql::IndexStore`]).
-    index_store: Option<Arc<IndexStore>>,
-    /// Plan point-equality filter runs as index lookups (on by default; off is
-    /// the index-disabled differential/bench leg).
-    use_index: bool,
-    /// Override for the evaluators' re-optimisation divergence factor.
-    reopt_factor: Option<f64>,
-    /// Run eligible planned comprehensions on the vectorised columnar engine
-    /// (on by default; off is the row-engine differential/bench leg).
-    columnar: bool,
-    /// Engine-selection counters attached to spawned evaluators (see
-    /// [`iql::EngineStats`]).
-    engine_stats: Option<Arc<iql::EngineStats>>,
+    /// The settings every evaluator spawned by [`VirtualExtents::answer`] and
+    /// friends runs under (see [`VirtualExtents::with_engine`]).
+    engine: &'a EngineConfig,
     /// Folded into [`ExtentProvider::version`] so the owner can invalidate plan
     /// caches on definition changes the registry's versions cannot see.
     version_salt: u64,
@@ -291,13 +278,7 @@ impl<'a> VirtualExtents<'a> {
             verified_acyclic: RwLock::new(BTreeSet::new()),
             fallback_sources: Vec::new(),
             parallel: true,
-            bushy: true,
-            plan_cache: None,
-            index_store: None,
-            use_index: true,
-            reopt_factor: None,
-            columnar: true,
-            engine_stats: None,
+            engine: &DEFAULT_ENGINE,
             version_salt: 0,
         }
     }
@@ -332,57 +313,13 @@ impl<'a> VirtualExtents<'a> {
         self
     }
 
-    /// Disable the bushy join enumerator in the evaluators this provider spawns:
-    /// generator chains are reordered with the greedy rule only (see
-    /// [`Evaluator::without_bushy`]). A differential-test and benchmarking leg.
-    pub fn without_bushy(mut self) -> Self {
-        self.bushy = false;
-        self
-    }
-
-    /// Attach a plan cache to the evaluators created by [`VirtualExtents::answer`]
-    /// (see [`PlanCache`] for the sharing contract: one cache per logical provider).
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Attach a secondary point-lookup index store to the evaluators created by
-    /// [`VirtualExtents::answer`] (see [`iql::IndexStore`] for the design; same
-    /// sharing contract as the plan cache: one store per logical provider).
-    pub fn with_index_store(mut self, store: Arc<IndexStore>) -> Self {
-        self.index_store = Some(store);
-        self
-    }
-
-    /// Disable point-lookup index planning in the evaluators this provider
-    /// spawns (see [`Evaluator::without_index`]). The index-disabled
-    /// differential-test and benchmarking leg.
-    pub fn without_index(mut self) -> Self {
-        self.use_index = false;
-        self
-    }
-
-    /// Set the actual/estimated divergence factor past which spawned
-    /// evaluators re-optimise cached plans (see [`Evaluator::with_reopt_factor`]).
-    pub fn with_reopt_factor(mut self, factor: f64) -> Self {
-        self.reopt_factor = Some(factor);
-        self
-    }
-
-    /// Force every execution in the evaluators this provider spawns onto the
-    /// row-at-a-time engine (see [`Evaluator::with_columnar`]). The row-engine
-    /// differential-test and benchmarking leg; results are identical either way.
-    pub fn without_columnar(mut self) -> Self {
-        self.columnar = false;
-        self
-    }
-
-    /// Attach engine-selection counters to the evaluators this provider spawns
-    /// (see [`iql::EngineStats`]): columnar completions and row-engine
-    /// fallbacks accumulate there across every query answered.
-    pub fn with_engine_stats(mut self, stats: Arc<iql::EngineStats>) -> Self {
-        self.engine_stats = Some(stats);
+    /// Run the evaluators this provider spawns under `engine`: its toggles
+    /// and its shared handles — plan cache, index store, engine counters, step
+    /// probe (see [`EngineConfig`]; the handles' sharing contract is one per
+    /// logical provider). Without this, spawned evaluators run under
+    /// [`EngineConfig::new`].
+    pub fn with_engine(mut self, engine: &'a EngineConfig) -> Self {
+        self.engine = engine;
         self
     }
 
@@ -405,34 +342,14 @@ impl<'a> VirtualExtents<'a> {
         self.cache.len()
     }
 
-    /// Build the evaluator used for [`VirtualExtents::answer`]: planning on, plan
-    /// cache attached when configured.
+    /// Build the evaluator used for [`VirtualExtents::answer`]: the attached
+    /// engine settings, fetching sequentially when this provider does.
     fn evaluator(&self) -> Evaluator<&Self> {
-        let mut ev = Evaluator::new(self);
-        if !self.parallel {
-            ev = ev.without_parallel_fetch();
-        }
-        if !self.bushy {
-            ev = ev.without_bushy();
-        }
-        if !self.use_index {
-            ev = ev.without_index();
-        }
-        if let Some(store) = &self.index_store {
-            ev = ev.with_index_store(Arc::clone(store));
-        }
-        if let Some(factor) = self.reopt_factor {
-            ev = ev.with_reopt_factor(factor);
-        }
-        if !self.columnar {
-            ev = ev.with_columnar(false);
-        }
-        if let Some(stats) = &self.engine_stats {
-            ev = ev.with_engine_stats(Arc::clone(stats));
-        }
-        match &self.plan_cache {
-            Some(cache) => ev.with_plan_cache(Arc::clone(cache)),
-            None => ev,
+        let ev = Evaluator::with_config(self, self.engine.clone());
+        if self.parallel {
+            ev
+        } else {
+            ev.without_parallel_fetch()
         }
     }
 
@@ -458,7 +375,7 @@ impl<'a> VirtualExtents<'a> {
     }
 
     /// Plan `query`'s top-level comprehension (without executing it) and report
-    /// the join statistics and strategies — including bushy trees — the same
+    /// the join statistics and strategies — including join trees — the same
     /// way [`Evaluator::explain`] does for a plain provider. Resolving the
     /// extents the planner needs may itself evaluate contributions (GAV
     /// unfolding), so this can fail like [`VirtualExtents::answer`].

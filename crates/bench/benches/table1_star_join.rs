@@ -1,16 +1,17 @@
-//! Star-schema join benchmarks: the Table-1-like shape the bushy enumerator
-//! targets — one hub extent equi-joined to several satellites on different
-//! keys, with skewed selectivities.
+//! Star-schema join benchmarks: the Table-1-like shape the join-tree
+//! enumerator targets — one hub extent equi-joined to several satellites on
+//! different keys, with skewed selectivities.
 //!
 //! The hub joins satellite A on a low-distinct key (unselective: a quarter of
 //! the cross product survives) and satellite B on a near-unique key
-//! (selective). The greedy chain reorder seeds from the smallest *extent*
-//! (satellite A) and immediately materialises the large unselective
-//! intermediate; the bushy enumerator's cost model runs the selective
-//! hub ⋈ B join first, shrinking every later intermediate. Groups:
+//! (selective). The textual plan probes satellite A first and drags the large
+//! unselective intermediate through the second hash join; the enumerator's
+//! cost model runs the selective hub ⋈ B join first, shrinking every later
+//! intermediate. Groups:
 //!
 //! * `bushy/N` — the default planner (DP enumeration over the join graph);
-//! * `greedy_linear/N` — `Evaluator::without_bushy`, the PR 3 greedy order;
+//! * `textual_hash/N` — `Evaluator::without_reorder`: the hub scans, each
+//!   satellite is hashed and probed in textual order;
 //! * `nested_loops/N` — the planner-free oracle, for scale (small N only).
 //!
 //! Run with `BENCH_JSON=BENCH_iql.json cargo bench -p bench --bench
@@ -68,13 +69,13 @@ fn star_join(c: &mut Criterion) {
     // Report the plan shapes once so the bench output doubles as the story.
     let probe = star_fixture(400);
     let bushy_stats = Evaluator::new(&probe).explain(&expr, &Env::new()).unwrap();
-    let greedy_stats = Evaluator::new(&probe)
-        .without_bushy()
+    let textual_stats = Evaluator::new(&probe)
+        .without_reorder()
         .explain(&expr, &Env::new())
         .unwrap();
     eprintln!("\n[table1_star_join] plan shapes at 400 hub rows:");
-    eprintln!("  bushy : {bushy_stats:?}");
-    eprintln!("  greedy: {greedy_stats:?}");
+    eprintln!("  bushy  : {bushy_stats:?}");
+    eprintln!("  textual: {textual_stats:?}");
 
     let mut group = c.benchmark_group("table1_star_join");
     group
@@ -84,8 +85,8 @@ fn star_join(c: &mut Criterion) {
         let extents = star_fixture(rows);
         // Sanity: both plans must agree with the nested-loop oracle.
         let planned = Evaluator::new(&extents).eval_closed(&expr).unwrap();
-        let greedy = Evaluator::new(&extents)
-            .without_bushy()
+        let textual = Evaluator::new(&extents)
+            .without_reorder()
             .eval_closed(&expr)
             .unwrap();
         let naive = Evaluator::new(&extents)
@@ -93,7 +94,7 @@ fn star_join(c: &mut Criterion) {
             .eval_closed(&expr)
             .unwrap();
         assert_eq!(planned, naive, "bushy must agree with nested loops");
-        assert_eq!(greedy, naive, "greedy must agree with nested loops");
+        assert_eq!(textual, naive, "textual must agree with nested loops");
 
         group.bench_with_input(BenchmarkId::new("bushy", rows), &rows, |b, _| {
             b.iter(|| {
@@ -102,10 +103,10 @@ fn star_join(c: &mut Criterion) {
                     .expect("evaluates")
             })
         });
-        group.bench_with_input(BenchmarkId::new("greedy_linear", rows), &rows, |b, _| {
+        group.bench_with_input(BenchmarkId::new("textual_hash", rows), &rows, |b, _| {
             b.iter(|| {
                 Evaluator::new(&extents)
-                    .without_bushy()
+                    .without_reorder()
                     .eval_closed(&expr)
                     .expect("evaluates")
             })

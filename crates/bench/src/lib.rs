@@ -1,9 +1,10 @@
 //! # bench — shared helpers for the benchmark harness
 //!
 //! Each bench target under `benches/` regenerates one of the paper's evaluation
-//! artefacts (see DESIGN.md §5 and EXPERIMENTS.md). The helpers here build the
-//! fixtures the benches share: populated dataspaces at a given scale and ready-made
-//! intersection specifications.
+//! artefacts (the root `README.md` lists the groups; medians land in
+//! `BENCH_iql.json`). The helpers here build the fixtures the benches share:
+//! populated dataspaces at a given scale and ready-made intersection
+//! specifications.
 
 use dataspace_core::dataspace::{Dataspace, DataspaceConfig};
 use dataspace_core::workflow::IntegrationSession;

@@ -31,7 +31,7 @@ use automed::{Repository, Schema};
 use iql::eval::ExtentProvider;
 use iql::lru::LruMap;
 use iql::value::{Bag, Value};
-use iql::{IndexStore, Params, PlanCache};
+use iql::{EngineConfig, IndexStore, Params, PlanCache};
 use relational::storage::{BatchCommit, StorageEngine};
 use relational::store::TableDelta;
 use relational::wal::{CommitLog, CompactionReport, LogRecord};
@@ -78,10 +78,6 @@ pub struct DataspaceConfig {
     pub plan_cache_bytes: u64,
     /// Byte budget for the [`iql::IndexStore`]'s indexes.
     pub index_cache_bytes: u64,
-    /// Actual/estimated cardinality divergence factor past which a cached plan
-    /// re-optimises on its next execution (see
-    /// [`iql::eval::Evaluator::with_reopt_factor`]).
-    pub reopt_divergence_factor: f64,
     /// Whether eligible planned comprehensions run on the vectorised columnar
     /// executor (see [`iql::eval::Evaluator::with_columnar`]). On by default;
     /// disable to force every execution onto the row-at-a-time engine — the
@@ -110,7 +106,6 @@ impl Default for DataspaceConfig {
             index_cache_capacity: iql::index::DEFAULT_INDEX_CAPACITY,
             plan_cache_bytes: iql::eval::DEFAULT_PLAN_CACHE_BYTES,
             index_cache_bytes: iql::index::DEFAULT_INDEX_BYTES,
-            reopt_divergence_factor: iql::eval::DEFAULT_REOPT_FACTOR,
             columnar: true,
             wal_fsync: false,
         }
@@ -149,6 +144,10 @@ pub struct Dataspace {
     /// Secondary point-lookup indexes shared by every provider this dataspace
     /// hands out (see [`iql::IndexStore`]).
     index_store: Arc<IndexStore>,
+    /// The engine settings every provider this dataspace hands out runs
+    /// under, built once from the configuration: its engine toggles plus the
+    /// shared plan memo, index store and engine counters.
+    engine: EngineConfig,
     /// Bounded query-text → parsed-query memo: pay-as-you-go workloads re-run
     /// the same priority-query set after every iteration, so re-issued texts —
     /// through [`Dataspace::prepare`], [`Dataspace::query`],
@@ -201,6 +200,15 @@ impl Dataspace {
             config.index_cache_capacity,
             config.index_cache_bytes,
         ));
+        let engine_stats = Arc::new(iql::EngineStats::new());
+        let engine = EngineConfig {
+            point_indexes: config.point_lookup_indexes,
+            columnar: config.columnar,
+            plan_cache: Some(Arc::clone(&plan_cache)),
+            index_store: Some(Arc::clone(&index_store)),
+            engine_stats: Some(Arc::clone(&engine_stats)),
+            ..EngineConfig::new()
+        };
         let parse_cache = RwLock::new(LruMap::new(config.plan_cache_capacity));
         Dataspace {
             registry: SourceRegistry::new(),
@@ -214,10 +222,11 @@ impl Dataspace {
             extent_cache,
             plan_cache,
             index_store,
+            engine,
             parse_cache,
             generation: 0,
             subscriptions: SubscriptionRegistry::default(),
-            engine_stats: Arc::new(iql::EngineStats::new()),
+            engine_stats,
             wal: None,
             wal_appends: 0,
             recovery_replays: 0,
@@ -397,20 +406,10 @@ impl Dataspace {
             .global
             .as_ref()
             .ok_or_else(|| CoreError::WorkflowOrder("no global schema yet".into()))?;
-        let mut provider = VirtualExtents::new(&self.registry, &global.definitions)
+        Ok(VirtualExtents::new(&self.registry, &global.definitions)
             .with_shared_cache(Arc::clone(&self.extent_cache))
-            .with_plan_cache(Arc::clone(&self.plan_cache))
-            .with_reopt_factor(self.config.reopt_divergence_factor)
-            .with_version_salt(self.generation)
-            .with_engine_stats(Arc::clone(&self.engine_stats));
-        if !self.config.columnar {
-            provider = provider.without_columnar();
-        }
-        Ok(if self.config.point_lookup_indexes {
-            provider.with_index_store(Arc::clone(&self.index_store))
-        } else {
-            provider.without_index()
-        })
+            .with_engine(&self.engine)
+            .with_version_salt(self.generation))
     }
 
     /// Prepare a query for repeated execution: parse it once (through the same

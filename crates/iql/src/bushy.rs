@@ -1,16 +1,17 @@
-//! Bushy join enumeration: a DPsize/DPccp-style dynamic program over the
-//! connected subgraphs of a comprehension's join graph.
+//! Join-tree selection: `pick_tree` is the one place a comprehension's
+//! generator chain gets its join order — a DPsize/DPccp-style dynamic program
+//! over the connected subgraphs of the join graph for chains of up to
+//! [`MAX_DP_RELATIONS`] generators, a greedy left-deep builder past that.
 //!
-//! The planner's greedy chain reorder (see [`crate::eval`]) always grows one
-//! intermediate result left-deep, picking the smallest *extent* next. That rule
-//! is blind to selectivity: on a star schema whose hub joins one satellite on a
-//! low-distinct key and another on a near-unique key, joining the small but
-//! unselective satellite first materialises a huge intermediate that the
-//! selective join then has to grind down. The enumerator here searches **every
-//! join-tree shape** — bushy trees included — and scores each with a cost model
-//! over the same per-extent key histograms the greedy planner consults, so the
-//! selective join runs first regardless of extent sizes, and independent
-//! subchains may be joined separately before being combined.
+//! A greedy order always grows one intermediate result left-deep, picking the
+//! smallest *extent* next. That rule is blind to selectivity: on a star schema
+//! whose hub joins one satellite on a low-distinct key and another on a
+//! near-unique key, joining the small but unselective satellite first
+//! materialises a huge intermediate that the selective join then has to grind
+//! down. The enumerator searches **every join-tree shape** — bushy trees
+//! included — and scores each with a cost model over per-extent key
+//! histograms, so the selective join runs first regardless of extent sizes,
+//! and independent subchains may be joined separately before being combined.
 //!
 //! # Algorithm
 //!
@@ -34,27 +35,34 @@
 //! program is exhaustive and deterministic: ties keep the first partition
 //! found. With at most [`MAX_DP_RELATIONS`] relations the table has ≤ 64
 //! entries — enumeration costs microseconds, far below one hash-join build.
-//! Longer chains fall back to the greedy reorder (see
-//! [`crate::eval::Evaluator`]).
+//! Longer chains (DP cost grows as `3^n`) get the greedy left-deep tree:
+//! seed with the smallest relation, then repeatedly join the smallest
+//! remaining relation connected to the joined set.
 //!
 //! The module is pure planning: it sees only cardinalities and selectivities
-//! and returns a [`JoinTree`]; the evaluator executes the tree with recursive
-//! hash joins and restores nested-loop output order with one positional sort.
+//! and returns a [`JoinTree`]; the evaluator executes every tree — a pair is
+//! the tree `(0 ⋈ 1)` — with the same recursive hash joins and restores
+//! nested-loop output order with one positional sort.
 
 use std::fmt;
 
 /// The largest relation count enumerated exhaustively. `2^6 = 64` subset table
-/// entries; beyond this the planner's greedy chain reorder takes over (DP cost
+/// entries; beyond this the greedy left-deep builder takes over (DP cost
 /// grows as `3^n` partitions, and chains that long are rare in practice).
 pub const MAX_DP_RELATIONS: usize = 6;
 
+/// The longest chain a [`JoinTree`] may span: leaf sets are `u64` bitmasks
+/// indexed by chain position, so a longer chain (query text can carry one) has
+/// no tree and keeps its textual plan.
+pub const MAX_TREE_RELATIONS: usize = u64::BITS as usize;
+
 /// Ceiling for subset cardinality estimates. A cost is a sum of at most
-/// `2 · (MAX_DP_RELATIONS - 1)` build/output terms, so clamping each term here
-/// keeps every cost finite and the DP's `<` comparisons totally ordered.
+/// `2 · (MAX_TREE_RELATIONS - 1)` build/output terms, so clamping each term
+/// here keeps every cost finite and the DP's `<` comparisons totally ordered.
 const EST_CEILING: f64 = 1e300;
 
 /// The shape of a planned join over a generator chain, reported through
-/// [`crate::JoinStrategy::Bushy`]. Leaves are chain positions in **textual
+/// [`crate::JoinStrategy::Materialised`]. Leaves are chain positions in **textual
 /// generator order** (0 = the leading generator); internal nodes join the
 /// results of their two subtrees with a hash join on every equi-predicate that
 /// crosses the cut.
@@ -108,9 +116,9 @@ impl JoinTree {
 
     /// Whether the tree is *linear*: every join has at least one
     /// single-relation input, i.e. the tree is a left- or right-deep chain.
-    /// The greedy chain reorder can only produce linear orders; a `false`
-    /// here means the enumerator found a genuinely bushy shape (two
-    /// multi-relation subtrees joined together).
+    /// The greedy builder only produces linear trees; a `false` here means
+    /// the enumerator found a genuinely bushy shape (two multi-relation
+    /// subtrees joined together).
     pub fn is_linear(&self) -> bool {
         match self {
             JoinTree::Leaf(_) => true,
@@ -146,10 +154,10 @@ pub(crate) struct EdgeSel {
     pub selectivity: f64,
 }
 
-/// The enumerator's verdict: the cheapest tree, its estimated output
-/// cardinality, and the total model cost (build sides + intermediates).
+/// A picked join tree with its estimated output cardinality and total model
+/// cost (build sides + intermediates).
 #[derive(Debug, Clone)]
-pub(crate) struct Enumerated {
+pub(crate) struct PickedTree {
     /// The chosen join tree.
     pub tree: JoinTree,
     /// Estimated root output cardinality (used by tests; the caller
@@ -166,23 +174,27 @@ pub(crate) struct Enumerated {
     pub cost: f64,
 }
 
-/// Exhaustively enumerate join trees over `cards.len()` relations connected by
-/// `edges`, returning the cheapest. `None` when the join graph is disconnected
-/// (some cut has no edge, so any complete tree would cross-product), when
-/// there are fewer than two relations, or when the relation count exceeds
-/// [`MAX_DP_RELATIONS`].
-pub(crate) fn enumerate(cards: &[usize], edges: &[EdgeSel]) -> Option<Enumerated> {
-    let n = cards.len();
-    if !(2..=MAX_DP_RELATIONS).contains(&n) {
-        return None;
+/// Decide the join tree for a chain of `cards.len()` relations connected by
+/// `edges`: the exhaustive enumerator up to [`MAX_DP_RELATIONS`], the greedy
+/// left-deep builder up to [`MAX_TREE_RELATIONS`]. `None` — the chain keeps
+/// its textual plan — when the join graph is disconnected (any complete tree
+/// would cross-product), or the chain is shorter than a pair or wider than a
+/// leaf mask.
+pub(crate) fn pick_tree(cards: &[usize], edges: &[EdgeSel]) -> Option<PickedTree> {
+    match cards.len() {
+        2..=MAX_DP_RELATIONS => enumerate(cards, edges),
+        n if n <= MAX_TREE_RELATIONS => greedy(cards, edges),
+        _ => None,
     }
-    let full: u64 = (1u64 << n) - 1;
+}
 
-    // Pairwise combined selectivity and adjacency. Selectivities are sanitised
-    // to the meaningful `(0, 1]` range: histogram estimates are `1/distinct`
-    // and observed-feedback ratios are fractions of a cross product, so a NaN,
-    // infinite, negative or > 1 value can only come from degenerate feedback
-    // (e.g. a ratio over a zero estimate) and is treated as "keeps everything".
+/// Pairwise combined selectivity and adjacency of the join graph.
+/// Selectivities are sanitised to the meaningful `(0, 1]` range: histogram
+/// estimates are `1/distinct` and observed-feedback ratios are fractions of a
+/// cross product, so a NaN, infinite, negative or > 1 value can only come from
+/// degenerate feedback (e.g. a ratio over a zero estimate) and is treated as
+/// "keeps everything".
+fn join_graph(n: usize, edges: &[EdgeSel]) -> (Vec<Vec<f64>>, Vec<Vec<bool>>) {
     let mut sel = vec![vec![1.0f64; n]; n];
     let mut adj = vec![vec![false; n]; n];
     for e in edges {
@@ -199,6 +211,59 @@ pub(crate) fn enumerate(cards: &[usize], edges: &[EdgeSel]) -> Option<Enumerated
         adj[e.a][e.b] = true;
         adj[e.b][e.a] = true;
     }
+    (sel, adj)
+}
+
+/// Build the greedy left-deep tree: seed with the smallest relation, then
+/// repeatedly join the smallest remaining relation connected to the joined
+/// set (ties keep the lowest chain position). `None` when the join graph is
+/// disconnected.
+fn greedy(cards: &[usize], edges: &[EdgeSel]) -> Option<PickedTree> {
+    let n = cards.len();
+    let (sel, adj) = join_graph(n, edges);
+    let seed = (0..n).min_by_key(|&g| cards[g])?;
+    let mut joined = vec![seed];
+    let mut tree = JoinTree::Leaf(seed);
+    let mut est = cards[seed] as f64;
+    let (mut max_intermediate, mut cost) = (0.0f64, 0.0f64);
+    while joined.len() < n {
+        let next = (0..n)
+            .filter(|g| !joined.contains(g) && joined.iter().any(|&s| adj[*g][s]))
+            .min_by_key(|&g| cards[g])?;
+        let card = cards[next] as f64;
+        let out = joined
+            .iter()
+            .fold(est * card, |e, &s| e * sel[next][s])
+            .min(EST_CEILING);
+        cost += est.min(card) + out;
+        max_intermediate = max_intermediate.max(out);
+        tree = JoinTree::Join {
+            left: Box::new(tree),
+            right: Box::new(JoinTree::Leaf(next)),
+        };
+        joined.push(next);
+        est = out;
+    }
+    Some(PickedTree {
+        tree,
+        est_rows: est,
+        max_intermediate,
+        cost,
+    })
+}
+
+/// Exhaustively enumerate join trees over `cards.len()` relations connected by
+/// `edges`, returning the cheapest. `None` when the join graph is disconnected
+/// (some cut has no edge, so any complete tree would cross-product), when
+/// there are fewer than two relations, or when the relation count exceeds
+/// [`MAX_DP_RELATIONS`].
+fn enumerate(cards: &[usize], edges: &[EdgeSel]) -> Option<PickedTree> {
+    let n = cards.len();
+    if !(2..=MAX_DP_RELATIONS).contains(&n) {
+        return None;
+    }
+    let full: u64 = (1u64 << n) - 1;
+    let (sel, adj) = join_graph(n, edges);
 
     // est[S]: cardinality estimate for the subset `S`, built incrementally by
     // peeling the lowest relation off — its internal edges to the rest of `S`
@@ -272,7 +337,7 @@ pub(crate) fn enumerate(cards: &[usize], edges: &[EdgeSel]) -> Option<Enumerated
     let (cost, _) = best[full as usize]?;
     let tree = rebuild(full, &best);
     let max_intermediate = max_join_estimate(&tree, &est);
-    Some(Enumerated {
+    Some(PickedTree {
         tree,
         est_rows: est[full as usize],
         max_intermediate,
@@ -387,6 +452,43 @@ mod tests {
         let cards = vec![5usize; MAX_DP_RELATIONS + 1];
         let edges: Vec<EdgeSel> = (1..cards.len()).map(|i| edge(i - 1, i, 0.5)).collect();
         assert!(enumerate(&cards, &edges).is_none());
+    }
+
+    #[test]
+    fn picker_switches_to_the_greedy_tree_past_the_dp_bound() {
+        // A line of MAX_DP_RELATIONS + 1 relations, the smallest in the
+        // middle: the greedy tree seeds there and grows left-deep through
+        // whichever connected neighbour is smaller (ties: lowest position).
+        let cards = [9, 8, 7, 2, 7, 8, 9];
+        assert_eq!(cards.len(), MAX_DP_RELATIONS + 1);
+        let edges: Vec<EdgeSel> = (1..cards.len()).map(|i| edge(i - 1, i, 0.5)).collect();
+        let out = pick_tree(&cards, &edges).expect("connected");
+        assert!(out.tree.is_linear());
+        assert_eq!(
+            out.tree.to_string(),
+            "((((((3 ⋈ 2) ⋈ 4) ⋈ 1) ⋈ 5) ⋈ 0) ⋈ 6)"
+        );
+        // 2·7·½ = 7, ·7·½ = 24.5, ·8·½ = 98, ·8·½ = 392, ·9·½ = 1764, ·9·½.
+        assert!((out.est_rows - 7938.0).abs() < 1e-9, "{out:?}");
+        assert_eq!(out.max_intermediate, out.est_rows);
+        // Within the DP range the picker enumerates instead.
+        let dp = pick_tree(&cards[..3], &edges[..2]).expect("connected");
+        assert_eq!(dp.tree, enumerate(&cards[..3], &edges[..2]).unwrap().tree);
+        // A disconnected long chain has no tree.
+        assert!(pick_tree(&cards, &edges[1..]).is_none());
+    }
+
+    #[test]
+    fn chains_wider_than_a_leaf_mask_get_no_tree() {
+        let line = |n: usize| -> (Vec<usize>, Vec<EdgeSel>) {
+            (vec![3; n], (1..n).map(|i| edge(i - 1, i, 0.5)).collect())
+        };
+        let (cards, edges) = line(MAX_TREE_RELATIONS);
+        let widest = pick_tree(&cards, &edges).expect("64 leaves fit the mask");
+        assert_eq!(widest.tree.leaf_mask(), u64::MAX);
+        assert!(widest.cost.is_finite());
+        let (cards, edges) = line(MAX_TREE_RELATIONS + 1);
+        assert!(pick_tree(&cards, &edges).is_none());
     }
 
     #[test]

@@ -39,51 +39,36 @@
 //!
 //! The planner reorders the **leading generator chain** — the first plain
 //! generator plus the run of fused equi-join generators directly after it whose
-//! join keys all resolve to chain generators. For a chain of exactly two, the
-//! pair rule applies: both extent cardinalities are collected and, when the
-//! *outer* extent is the smaller one, the hash index is built on it instead —
-//! the textbook "smallest extent builds the hash side" rule. Key selectivity is
-//! estimated from the hash-index bucket histogram (`probe rows × build rows /
-//! distinct keys`); if the estimated join output is disproportionate to the
-//! input sizes the reorder is abandoned (the final sort would dominate) and the
-//! textual orientation is kept.
-//!
-//! Chains of three or more go through the **join graph**: each equi-filter pair
-//! becomes an edge between the generator binding its probe variable and the
-//! fused generator that owns the filter.
-//!
-//! # Bushy join enumeration
-//!
-//! Chains of three to [`crate::bushy::MAX_DP_RELATIONS`] generators are planned
-//! by the exhaustive enumerator in [`crate::bushy`]: a DPsize/DPccp-style
-//! dynamic program over the connected subsets of the join graph that considers
-//! **every tree shape — bushy included**, scoring each join node by its hash
-//! build side plus estimated output, with edge selectivities
-//! (`1 / max(distinct keys)`) drawn from the **persisted per-extent key
+//! join keys all resolve to chain generators. Each equi-filter pair becomes an
+//! edge of the chain's **join graph**, between the generator binding its probe
+//! variable and the fused generator that owns the filter, with selectivity
+//! `1 / max(distinct keys)` drawn from the **persisted per-extent key
 //! histograms** (see [`PlanCache`]) so planning over memoised extents needs no
-//! extra pass over the data. The winning tree executes as recursive hash joins
-//! (the `BushyJoin` plan step): leaves are the matched extents, each internal node
-//! hash-indexes its smaller input on the composite key of every equi-predicate
-//! crossing the cut, and one final positional sort restores nested-loop output
-//! order. [`Evaluator::explain`] reports the shape via
-//! [`JoinStrategy::Bushy`], one entry per join node in execution (post-)order.
+//! extra pass over the data.
 //!
-//! Chains longer than the DP bound — or chains the enumerator refuses (an
-//! estimated intermediate of the winning tree past the cap) — fall back to
-//! the **greedy** reorder: start
-//! from the smallest extent, repeatedly join in the smallest remaining
-//! generator connected to the joined set, hash-indexing whichever side of each
-//! edge join is smaller ([`JoinStrategy::Multiway`]). A greedy step estimate
-//! past the cap, or a disconnected join graph, abandons the whole-chain
-//! reorder and falls back to the pair rule. [`Evaluator::without_bushy`]
-//! disables the enumerator (greedy only) — the differential harness and the
-//! `table1_star_join` bench group compare the two.
+//! One function picks the chain's **join tree** ([`crate::bushy`]): an
+//! exhaustive DPsize/DPccp-style enumeration over every tree shape — bushy
+//! included — for chains of up to [`crate::bushy::MAX_DP_RELATIONS`]
+//! generators (a pair is the tree `(0 ⋈ 1)`), a greedy left-deep tree past
+//! that. One executor runs it at plan time as recursive hash joins (the
+//! `MaterialisedJoin` plan step): leaves are the matched extents, each
+//! internal node hash-indexes its smaller input on the composite key of every
+//! equi-predicate crossing the cut, and one final sort on the original bag
+//! positions (in textual generator order) **restores the nested-loop output
+//! order** — planned, reordered and naive evaluation produce identical bags in
+//! identical order. [`Evaluator::explain`] reports the shape via
+//! [`JoinStrategy::Materialised`], one entry per join node in execution
+//! (post-)order.
 //!
-//! Every reordered shape **restores the nested-loop output order** with a final
-//! sort on the original bag positions (in textual generator order) — planned,
-//! reordered and naive evaluation produce identical bags in identical order.
-//! [`Evaluator::without_reorder`] disables reordering; [`Evaluator::explain`]
-//! exposes the per-join statistics ([`JoinStats`]) the decisions were based on.
+//! One bail rule keeps the textual plan (scan the leading generator, hash the
+//! later ones) instead: a pair whose outer extent is not the smaller one (the
+//! textbook "smallest extent builds the hash side" orientation is already the
+//! textual one), a disconnected join graph, a chain wider than a tree's leaf
+//! mask, or an estimated — or, mid-join, actual — intermediate
+//! disproportionate to the input sizes (the order-restoring sort would
+//! dominate). [`Evaluator::without_reorder`] disables reordering;
+//! [`Evaluator::explain`] exposes the per-join statistics ([`JoinStats`]) the
+//! decisions were based on.
 //!
 //! # Plan caching
 //!
@@ -314,8 +299,8 @@ pub(crate) use crate::plan::{
 /// assert_eq!(v, naive);
 /// ```
 ///
-/// Chains of three or more joined generators are planned as cost-based
-/// **bushy** join trees; [`Evaluator::explain`] reports the chosen shape:
+/// Chains of joined generators are materialised along a cost-picked join
+/// tree; [`Evaluator::explain`] reports the chosen shape:
 ///
 /// ```
 /// use iql::env::Env;
@@ -333,8 +318,8 @@ pub(crate) use crate::plan::{
 /// .unwrap();
 /// let stats = Evaluator::new(&extents).explain(&q, &Env::new()).unwrap();
 /// // One entry per join node of the tree; the last spans the whole chain.
-/// let JoinStrategy::Bushy { tree } = &stats.last().unwrap().strategy else {
-///     panic!("expected a bushy plan");
+/// let JoinStrategy::Materialised { tree } = &stats.last().unwrap().strategy else {
+///     panic!("expected a materialised join tree");
 /// };
 /// assert_eq!(tree.leaves(), vec![0, 1, 2]);
 /// // The hub joins its selective satellite before the unselective one.
@@ -342,17 +327,61 @@ pub(crate) use crate::plan::{
 /// ```
 pub struct Evaluator<P> {
     provider: P,
-    use_planner: bool,
-    reorder: bool,
-    bushy: bool,
-    parallel: bool,
-    use_index: bool,
-    columnar: bool,
-    plan_cache: Option<Arc<PlanCache>>,
-    index_store: Option<Arc<IndexStore>>,
-    step_probe: Option<Arc<StepProbe>>,
-    engine_stats: Option<Arc<EngineStats>>,
-    reopt_factor: f64,
+    config: EngineConfig,
+}
+
+/// Every engine setting an [`Evaluator`] runs under, as one value: the
+/// optimisation toggles (all on by default) and the shared handles (none
+/// attached by default). Layers that spawn evaluators — the `automed`
+/// virtual-extent provider, a dataspace — carry one `EngineConfig` by
+/// reference and hand it to [`Evaluator::with_config`] instead of mirroring
+/// each setting; the evaluator's builder methods write into the same value.
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// Plan comprehensions (see [`Evaluator::with_nested_loops`]).
+    pub planner: bool,
+    /// Reorder the leading generator chain (see [`Evaluator::without_reorder`]).
+    pub reorder: bool,
+    /// Fetch plan-time sources on worker threads (see
+    /// [`Evaluator::without_parallel_fetch`]).
+    pub parallel_fetch: bool,
+    /// Plan point-equality filter runs as index lookups (see
+    /// [`Evaluator::without_index`]).
+    pub point_indexes: bool,
+    /// Run eligible plans on the columnar engine (see
+    /// [`Evaluator::with_columnar`]).
+    pub columnar: bool,
+    /// Memo of built plans (see [`Evaluator::with_plan_cache`]).
+    pub plan_cache: Option<Arc<PlanCache>>,
+    /// Persistent point-lookup indexes (see [`Evaluator::with_index_store`]).
+    pub index_store: Option<Arc<IndexStore>>,
+    /// Executed-step counters (see [`Evaluator::with_step_probe`]).
+    pub step_probe: Option<Arc<StepProbe>>,
+    /// Engine-selection counters (see [`Evaluator::with_engine_stats`]).
+    pub engine_stats: Option<Arc<EngineStats>>,
+}
+
+impl EngineConfig {
+    /// Every optimisation on, no handle attached.
+    pub const fn new() -> Self {
+        EngineConfig {
+            planner: true,
+            reorder: true,
+            parallel_fetch: true,
+            point_indexes: true,
+            columnar: true,
+            plan_cache: None,
+            index_store: None,
+            step_probe: None,
+            engine_stats: None,
+        }
+    }
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// When the estimated join output exceeds this multiple of the combined input
@@ -360,7 +389,8 @@ pub struct Evaluator<P> {
 const REORDER_OUTPUT_CAP: f64 = 16.0;
 
 /// Marker for "this generator not joined yet" in intermediate chain-join rows
-/// (each row is one index per chain position into that generator's matched rows).
+/// (each row is one index per chain position into that generator's matched
+/// rows; a node's rows are stored back to back in one flat vector).
 const UNSET: usize = usize::MAX;
 
 /// A pre-planning classification of one or two fused qualifiers.
@@ -449,28 +479,32 @@ fn analyse(qualifiers: &[Qualifier]) -> Vec<Slot<'_>> {
 /// A maximal reorderable generator chain: the leading plain generator plus the
 /// run of fused generators directly after it whose probe variables all resolve to
 /// chain generators. The chain is the unit the join-graph reorder permutes.
-struct Chain {
-    /// Slot index of the leading plain generator.
+struct Chain<'q> {
+    /// Slot index of the leading plain generator; the chain covers the
+    /// `patterns.len()` consecutive slots from there.
     start: usize,
-    /// Number of consecutive slots in the chain (1 leading `Gen` + fused runs).
-    len: usize,
+    /// The chain generators' patterns, in textual order.
+    patterns: Vec<&'q Pattern>,
+    /// The chain generators' sources, in textual order.
+    sources: Vec<&'q Expr>,
     /// The join-graph edges: one per equi-filter pair, connecting a fused
     /// generator to the chain generator that binds its probe variable.
     preds: Vec<ChainPred>,
 }
 
-/// A successful chain plan: the (single `MultiJoin`/`BushyJoin`) step list,
-/// the per-edge-join statistics, and — for enumerated trees — the
-/// actual-vs-estimated cardinality feedback driving adaptive re-optimisation.
+/// A successful chain plan: the `MaterialisedJoin` step, the per-join-node
+/// statistics, and — for enumerated trees — the actual-vs-estimated
+/// cardinality feedback driving adaptive re-optimisation.
 struct ChainPlan {
-    steps: Vec<Step>,
+    step: Step,
     stats: Vec<JoinStats>,
     feedback: Option<PlanFeedback>,
 }
 
-/// One generator's matched extent rows: original bag position, element, and the
-/// pattern-bound environment used for join-key extraction.
-type MatchedRows = Vec<(usize, Value, Env)>;
+/// One generator's matched extent rows, in bag order (so a row's index is its
+/// nested-loop rank): the element and the pattern-bound environment used for
+/// join-key extraction.
+type MatchedRows = Vec<(Value, Env)>;
 
 /// One equality edge of the chain's join graph. Positions index into the chain
 /// (0 = the leading generator, in textual order).
@@ -490,10 +524,8 @@ struct ChainPred {
 /// Find the leading reorderable chain: the first binding slot must be a plain
 /// generator (filters may precede it; a `let` disqualifies, because hoisted
 /// evaluation could not see its comp-local bindings), followed by one or more
-/// fused generators whose probe variables all resolve to chain patterns. Chains
-/// of length two are planned by the pair planner; longer chains go through the
-/// full join-graph reorder.
-fn chain_candidate(slots: &[Slot<'_>]) -> Option<Chain> {
+/// fused generators whose probe variables all resolve to chain patterns.
+fn chain_candidate<'q>(slots: &[Slot<'q>]) -> Option<Chain<'q>> {
     let mut first_gen = None;
     for (i, slot) in slots.iter().enumerate() {
         match slot {
@@ -506,19 +538,18 @@ fn chain_candidate(slots: &[Slot<'_>]) -> Option<Chain> {
         }
     }
     let start = first_gen?;
-    let Slot::Gen { pattern: p0, .. } = &slots[start] else {
+    let Slot::Gen { pattern, source } = &slots[start] else {
         return None;
     };
-    // Patterns of the chain members so far, in textual order (position 0 = p0).
-    let mut patterns: Vec<&Pattern> = vec![p0];
+    let mut patterns: Vec<&Pattern> = vec![pattern];
+    let mut sources: Vec<&Expr> = vec![source];
     let mut preds: Vec<ChainPred> = Vec::new();
-    let mut len = 1;
     'extend: while let Some(Slot::Fused {
         pattern,
+        source,
         probe_vars,
         build_vars,
-        ..
-    }) = slots.get(start + len)
+    }) = slots.get(start + patterns.len())
     {
         let later = patterns.len();
         let mut new_preds = Vec::with_capacity(probe_vars.len());
@@ -540,13 +571,14 @@ fn chain_candidate(slots: &[Slot<'_>]) -> Option<Chain> {
         }
         preds.extend(new_preds);
         patterns.push(pattern);
-        len += 1;
+        sources.push(source);
     }
-    if len >= 2 {
-        Some(Chain { start, len, preds })
-    } else {
-        None
-    }
+    (patterns.len() >= 2).then_some(Chain {
+        start,
+        patterns,
+        sources,
+        preds,
+    })
 }
 
 /// Extract the (composite) join key named by `vars` from a matched environment.
@@ -562,62 +594,44 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// Create an evaluator over the given extent provider (hash-join planning,
     /// statistics-driven reordering and parallel extent fetch all on; no plan cache).
     pub fn new(provider: P) -> Self {
-        Evaluator {
-            provider,
-            use_planner: true,
-            reorder: true,
-            bushy: true,
-            parallel: true,
-            use_index: true,
-            columnar: true,
-            plan_cache: None,
-            index_store: None,
-            step_probe: None,
-            engine_stats: None,
-            reopt_factor: DEFAULT_REOPT_FACTOR,
-        }
+        Self::with_config(provider, EngineConfig::new())
+    }
+
+    /// Create an evaluator running under `config` (see [`EngineConfig`]).
+    pub fn with_config(provider: P, config: EngineConfig) -> Self {
+        Evaluator { provider, config }
     }
 
     /// Disable comprehension planning: evaluate every comprehension with the naive
     /// nested-loop semantics. This is the reference implementation the planner must
     /// agree with; used by property tests and benchmark baselines.
     pub fn with_nested_loops(mut self) -> Self {
-        self.use_planner = false;
+        self.config.planner = false;
         self
     }
 
     /// Disable statistics-driven join reordering (keep textual join orientation).
     pub fn without_reorder(mut self) -> Self {
-        self.reorder = false;
-        self
-    }
-
-    /// Disable the bushy join enumerator: chains of three or more generators
-    /// are reordered with the greedy smallest-extent-first rule only
-    /// ([`JoinStrategy::Multiway`]). The differential harness runs this
-    /// configuration as its own leg, and the `table1_star_join` bench group
-    /// uses it as the baseline the enumerator is measured against.
-    pub fn without_bushy(mut self) -> Self {
-        self.bushy = false;
+        self.config.reorder = false;
         self
     }
 
     /// Count the steps of every plan this evaluator executes in `probe`
     /// (see [`StepProbe`]).
     pub fn with_step_probe(mut self, probe: Arc<StepProbe>) -> Self {
-        self.step_probe = Some(probe);
+        self.config.step_probe = Some(probe);
         self
     }
 
     /// Fetch plan-time generator sources sequentially instead of on scoped threads.
     pub fn without_parallel_fetch(mut self) -> Self {
-        self.parallel = false;
+        self.config.parallel_fetch = false;
         self
     }
 
     /// Memoise built plans in `cache` (see [`PlanCache`] for the sharing contract).
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
+        self.config.plan_cache = Some(cache);
         self
     }
 
@@ -626,7 +640,7 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// inserts on append-only providers. The same logical-provider sharing
     /// contract as [`PlanCache`] applies.
     pub fn with_index_store(mut self, store: Arc<IndexStore>) -> Self {
-        self.index_store = Some(store);
+        self.config.index_store = Some(store);
         self
     }
 
@@ -657,15 +671,7 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// assert_eq!(indexed.eval_closed(&q), disabled.eval_closed(&q));
     /// ```
     pub fn without_index(mut self) -> Self {
-        self.use_index = false;
-        self
-    }
-
-    /// Set the actual/estimated output divergence factor past which a cached
-    /// plan re-optimises on its next execution (default
-    /// [`DEFAULT_REOPT_FACTOR`]). Values below 1.0 are clamped to 1.0.
-    pub fn with_reopt_factor(mut self, factor: f64) -> Self {
-        self.reopt_factor = factor.max(1.0);
+        self.config.point_indexes = false;
         self
     }
 
@@ -697,14 +703,14 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// assert_eq!(columnar.eval_closed(&q), row.eval_closed(&q));
     /// ```
     pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
+        self.config.columnar = on;
         self
     }
 
     /// Record engine selection (columnar executions, row fallbacks) in
     /// `stats`, shared across evaluators the way a [`StepProbe`] is.
     pub fn with_engine_stats(mut self, stats: Arc<EngineStats>) -> Self {
-        self.engine_stats = Some(stats);
+        self.config.engine_stats = Some(stats);
         self
     }
 
@@ -716,9 +722,9 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// that aborts on a runtime error still re-runs on the row engine.
     pub fn execution_engine(&self, expr: &Expr, env: &Env) -> Result<ExecEngine, EvalError> {
         match expr {
-            Expr::Comp { head, qualifiers } if self.use_planner => {
+            Expr::Comp { head, qualifiers } if self.config.planner => {
                 let plan = self.plan_for(expr, qualifiers, env)?;
-                Ok(if self.columnar && plan.columnar(head).is_some() {
+                Ok(if self.config.columnar && plan.columnar(head).is_some() {
                     ExecEngine::Columnar
                 } else {
                     ExecEngine::Row
@@ -733,14 +739,14 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// is enabled (with it off, running the row engine is the configuration,
     /// not a fallback).
     fn record_engine(&self, engine: ExecEngine) {
-        if let Some(probe) = &self.step_probe {
+        if let Some(probe) = &self.config.step_probe {
             probe.record_engine(engine);
         }
-        if let Some(stats) = &self.engine_stats {
+        if let Some(stats) = &self.config.engine_stats {
             match engine {
                 ExecEngine::Columnar => stats.record_columnar(),
                 ExecEngine::Row => {
-                    if self.columnar {
+                    if self.config.columnar {
                         stats.record_fallback();
                     }
                 }
@@ -796,14 +802,14 @@ impl<P: ExtentProvider> Evaluator<P> {
             }
             Expr::Comp { head, qualifiers } => {
                 let mut out = Bag::empty();
-                if self.use_planner {
+                if self.config.planner {
                     let plan = self.plan_for(expr, qualifiers, env)?;
-                    if let Some(probe) = &self.step_probe {
+                    if let Some(probe) = &self.config.step_probe {
                         for step in &plan.steps {
                             probe.record(step.kind());
                         }
                     }
-                    let compiled = if self.columnar {
+                    let compiled = if self.config.columnar {
                         plan.columnar(head)
                     } else {
                         None
@@ -896,9 +902,9 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// otherwise by planning now (storing the result when it is cacheable).
     ///
     /// A hit whose recorded cardinality feedback diverged past
-    /// [`Evaluator::with_reopt_factor`] triggers one **re-optimisation round**:
-    /// replan with the observed selectivities fed back into the bushy cost
-    /// model, keep whichever plan actually materialised fewer intermediate
+    /// [`DEFAULT_REOPT_FACTOR`] triggers one **re-optimisation round**:
+    /// replan with the observed selectivities fed back into the enumerator's
+    /// cost model, keep whichever plan actually materialised fewer intermediate
     /// rows, and pin the winner for the rest of this provider version.
     fn plan_for(
         &self,
@@ -906,7 +912,7 @@ impl<P: ExtentProvider> Evaluator<P> {
         qualifiers: &[Qualifier],
         env: &Env,
     ) -> Result<Arc<Plan>, EvalError> {
-        let Some(cache) = &self.plan_cache else {
+        let Some(cache) = &self.config.plan_cache else {
             return Ok(Arc::new(self.plan_comprehension(qualifiers, env, None)?));
         };
         let version = self.provider.version();
@@ -934,7 +940,7 @@ impl<P: ExtentProvider> Evaluator<P> {
                     let pending = plan
                         .feedback
                         .as_ref()
-                        .filter(|fb| fb.max_divergence > self.reopt_factor)
+                        .filter(|fb| fb.max_divergence > DEFAULT_REOPT_FACTOR)
                         .map(|fb| Arc::new(fb.observed.clone()));
                     cache.store(comp.clone(), version, Arc::clone(&plan), pending);
                 }
@@ -967,12 +973,15 @@ impl<P: ExtentProvider> Evaluator<P> {
         // A single-core machine (pool capacity 1) gains nothing from running a
         // worker alongside the caller — skip the fan-out entirely there.
         let pool = FetchPool::global();
-        let mut permits =
-            if self.parallel && worthwhile && wanted.len() >= 2 && pool.capacity() >= 2 {
-                pool.acquire_up_to(wanted.len() - 1)
-            } else {
-                pool.acquire_up_to(0)
-            };
+        let mut permits = if self.config.parallel_fetch
+            && worthwhile
+            && wanted.len() >= 2
+            && pool.capacity() >= 2
+        {
+            pool.acquire_up_to(wanted.len() - 1)
+        } else {
+            pool.acquire_up_to(0)
+        };
         if permits.count() > 0 {
             let workers = permits.count() + 1; // the caller takes a share too
             let chunk = wanted.len().div_ceil(workers);
@@ -1015,14 +1024,13 @@ impl<P: ExtentProvider> Evaluator<P> {
     }
 
     /// Build the step list for a comprehension: classify qualifiers, prefetch every
-    /// plan-time source (in parallel), reorder the leading generator chain via its
-    /// join graph when profitable (pairs through the pair planner, longer chains
-    /// through the greedy multiway planner), and fuse the remaining equi-join runs
-    /// into hash joins (see module docs).
+    /// plan-time source (in parallel), materialise the leading generator chain
+    /// along its join tree when profitable, and fuse the remaining equi-join
+    /// runs into hash joins (see module docs).
     ///
     /// `overrides` carries observed per-edge selectivities from a cached plan's
     /// execution feedback; when present they replace the histogram estimates in
-    /// the bushy enumerator (the adaptive re-optimisation round).
+    /// the enumerator (the adaptive re-optimisation round).
     fn plan_comprehension(
         &self,
         qualifiers: &[Qualifier],
@@ -1030,7 +1038,7 @@ impl<P: ExtentProvider> Evaluator<P> {
         overrides: Option<&ObservedSelectivities>,
     ) -> Result<Plan, EvalError> {
         let slots = analyse(qualifiers);
-        let chain = if self.reorder {
+        let chain = if self.config.reorder {
             chain_candidate(&slots)
         } else {
             None
@@ -1058,55 +1066,34 @@ impl<P: ExtentProvider> Evaluator<P> {
         let mut steps = Vec::with_capacity(slots.len());
         let mut join_stats = Vec::new();
         let mut feedback = None;
+        // Rows of a scanned chain lead: the probe side of the hash join after it.
+        let mut scanned_rows = None;
         let mut i = 0;
         while i < slots.len() {
             if Some(i) == chain_start {
                 let c = chain.as_ref().expect("chain start implies a chain");
-                if c.len >= 3 {
-                    // Whole-chain reorder: the bushy enumerator first (exhaustive
-                    // for small chains), the greedy order as fallback; on a full
-                    // bail-out (cross-product estimate, disconnected graph) fall
-                    // through to the pair planner below.
-                    let (patterns, sources) = chain_parts(c, &slots);
-                    let matched = match_chain_rows(&patterns, c.start, &bags, env)?;
-                    let mut planned = if self.bushy {
-                        self.plan_bushy_join(c, &patterns, &sources, &matched, overrides)?
-                    } else {
-                        None
-                    };
-                    if planned.is_none() {
-                        planned = self.plan_chain_join(c, &patterns, &sources, &matched)?;
+                if let Some(chain_plan) = self.plan_chain(c, &bags, env, overrides)? {
+                    for pos in 0..c.patterns.len() {
+                        bags.remove(&(c.start + pos));
                     }
-                    if let Some(chain_plan) = planned {
-                        for pos in 0..c.len {
-                            bags.remove(&(c.start + pos));
-                        }
-                        steps.extend(chain_plan.steps);
-                        join_stats.extend(chain_plan.stats);
-                        feedback = chain_plan.feedback;
-                        i += c.len;
-                        continue;
-                    }
+                    steps.push(chain_plan.step);
+                    join_stats.extend(chain_plan.stats);
+                    feedback = chain_plan.feedback;
+                    i += c.patterns.len();
+                    continue;
                 }
-                let Slot::Gen { pattern: p1, .. } = &slots[i] else {
+                // Bailed: keep the textual plan. The lead scans its prefetched
+                // bag; the fused generators after it become hash joins below.
+                let Slot::Gen { pattern, .. } = &slots[i] else {
                     unreachable!("chain starts with a plain generator");
                 };
-                let Slot::Fused {
-                    pattern: p2,
-                    probe_vars,
-                    build_vars,
-                    ..
-                } = &slots[i + 1]
-                else {
-                    unreachable!("chain continues with a fused generator");
-                };
-                let bag1 = bags.remove(&i).expect("prefetched outer source");
-                let bag2 = bags.remove(&(i + 1)).expect("prefetched inner source");
-                let (pair_steps, stats) =
-                    plan_join_pair(p1, p2, probe_vars, build_vars, bag1, bag2, env)?;
-                steps.extend(pair_steps);
-                join_stats.push(stats);
-                i += 2;
+                let bag = bags.remove(&i).expect("prefetched chain lead");
+                scanned_rows = Some(bag.len());
+                steps.push(Step::Scan {
+                    pattern: (*pattern).clone(),
+                    bag,
+                });
+                i += 1;
                 continue;
             }
             match &slots[i] {
@@ -1140,7 +1127,8 @@ impl<P: ExtentProvider> Evaluator<P> {
                     ..
                 } => {
                     let bag = bags.remove(&i).expect("prefetched build source");
-                    let (index, stats) = build_index(pattern, &bag, build_vars, env, None)?;
+                    let (index, stats) =
+                        build_index(pattern, &bag, build_vars, env, scanned_rows.take())?;
                     join_stats.push(stats);
                     steps.push(Step::HashJoin {
                         pattern: (*pattern).clone(),
@@ -1172,7 +1160,9 @@ impl<P: ExtentProvider> Evaluator<P> {
         source: &Expr,
         env: &Env,
     ) -> Result<Option<(Step, JoinStats, usize)>, EvalError> {
-        if !self.use_index || (self.index_store.is_none() && self.plan_cache.is_none()) {
+        if !self.config.point_indexes
+            || (self.config.index_store.is_none() && self.config.plan_cache.is_none())
+        {
             return Ok(None);
         }
         if !rewrite::free_vars(source).is_empty() || !rewrite::collect_params(source).is_empty() {
@@ -1223,14 +1213,14 @@ impl<P: ExtentProvider> Evaluator<P> {
             pattern.clone(),
             vars.iter().map(|v| v.to_string()).collect(),
         );
-        if let Some(store) = &self.index_store {
+        if let Some(store) = &self.config.index_store {
             if let Some(index) = store.lookup(&key, version) {
                 let stats = point_stats(&index);
                 return Ok((index, stats));
             }
         }
         let bag = self.eval(source, env)?.expect_bag()?;
-        if let Some(store) = &self.index_store {
+        if let Some(store) = &self.config.index_store {
             if self.provider.extents_append_only() {
                 if let Some((scanned, stale)) = store.stale(&key) {
                     if scanned <= bag.len() {
@@ -1261,209 +1251,57 @@ impl<P: ExtentProvider> Evaluator<P> {
             }
         }
         let index = Arc::new(index);
-        if let Some(store) = &self.index_store {
+        if let Some(store) = &self.config.index_store {
             store.store(key, version, bag.len(), Arc::clone(&index), false);
         }
         let stats = point_stats(&index);
         Ok((index, stats))
     }
 
-    /// Plan a generator chain of three or more via its join graph, **greedily**:
-    /// always the smallest not-yet-joined connected generator next,
-    /// hash-indexing whichever side of each edge join is smaller, and restore
-    /// the nested-loop output order with one final sort on the original bag
-    /// positions in textual generator order. This is the fallback for chains
-    /// the bushy enumerator does not cover (too long, or bailed out).
+    /// Plan the leading generator chain as one join materialised at plan time:
+    /// build the join graph's edge selectivities from the persisted per-extent
+    /// key histograms (one histogram per predicate endpoint, computed — and
+    /// cached in the attached [`PlanCache`] — on first use), let
+    /// [`bushy::pick_tree`] decide the tree, execute it with recursive hash
+    /// joins and restore the nested-loop output order with one positional
+    /// sort.
     ///
-    /// Per-step output estimates come from the per-extent key histograms persisted
-    /// in the attached [`PlanCache`] (computed and stored on first use), so
-    /// planning over memoised extents needs no extra pass over the data. Returns
-    /// `Ok(None)` to bail out — join graph disconnected (a cross product the
-    /// greedy order cannot reach) or an estimate past [`REORDER_OUTPUT_CAP`] —
-    /// in which case the caller falls back to pair planning.
-    fn plan_chain_join(
+    /// Returns `Ok(None)` — the one bail rule; the caller keeps the textual
+    /// scan + hash-join plan — when the chain is a pair whose outer extent is
+    /// not the smaller one, is wider than a join tree's leaf mask, has a
+    /// disconnected join graph, or when any intermediate of the picked tree,
+    /// estimated or actual, passes [`REORDER_OUTPUT_CAP`].
+    fn plan_chain(
         &self,
-        chain: &Chain,
-        patterns: &[&Pattern],
-        sources: &[&Expr],
-        matched: &[MatchedRows],
-    ) -> Result<Option<ChainPlan>, EvalError> {
-        let m = chain.len;
-        let mut in_set = vec![false; m];
-        let mut remaining: BTreeSet<usize> = (0..m).collect();
-        let seed = (0..m)
-            .min_by_key(|&g| matched[g].len())
-            .expect("chain is nonempty");
-        in_set[seed] = true;
-        remaining.remove(&seed);
-        // Intermediate rows: per chain position, an index into `matched[pos]`.
-        let mut rows: Vec<Vec<usize>> = (0..matched[seed].len())
-            .map(|idx| {
-                let mut row = vec![UNSET; m];
-                row[seed] = idx;
-                row
-            })
-            .collect();
-        let mut stats_out = Vec::new();
-        let mut used = vec![false; chain.preds.len()];
-        while !remaining.is_empty() {
-            let connected = |g: usize| {
-                chain.preds.iter().any(|p| {
-                    (p.later == g && in_set[p.earlier]) || (p.earlier == g && in_set[p.later])
-                })
-            };
-            let Some(n) = remaining
-                .iter()
-                .copied()
-                .filter(|&g| connected(g))
-                .min_by_key(|&g| matched[g].len())
-            else {
-                return Ok(None); // disconnected join graph: joining on would cross-product
-            };
-            // Every predicate between `n` and the joined set becomes one component
-            // of this edge join's composite key; predicates whose other endpoint
-            // is still unjoined stay deferred until that endpoint joins.
-            let mut n_vars: Vec<&str> = Vec::new();
-            let mut other: Vec<(usize, &str)> = Vec::new();
-            for (pi, p) in chain.preds.iter().enumerate() {
-                if used[pi] {
-                    continue;
-                }
-                if p.later == n && in_set[p.earlier] {
-                    n_vars.push(&p.later_var);
-                    other.push((p.earlier, &p.earlier_var));
-                    used[pi] = true;
-                } else if p.earlier == n && in_set[p.later] {
-                    n_vars.push(&p.earlier_var);
-                    other.push((p.later, &p.later_var));
-                    used[pi] = true;
-                }
-            }
-            let n_rows = matched[n].len();
-            let inter_rows = rows.len();
-            let histogram = self.chain_histogram(sources[n], patterns[n], &n_vars, &matched[n]);
-            let estimated = inter_rows as f64 * n_rows as f64 / histogram.distinct.max(1) as f64;
-            if estimated > REORDER_OUTPUT_CAP * (inter_rows + n_rows + 1) as f64 {
-                return Ok(None);
-            }
-            // Hash the smaller side of the edge join, probe from the bigger one;
-            // the final positional sort makes the probe order irrelevant.
-            let mut joined: Vec<Vec<usize>> = Vec::new();
-            if n_rows <= inter_rows {
-                let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-                for (idx, (_, _, scratch)) in matched[n].iter().enumerate() {
-                    if let Some(key) = key_from(scratch, &n_vars) {
-                        index.entry(key).or_default().push(idx);
-                    }
-                }
-                for row in &rows {
-                    let Some(key) = chain_row_key(matched, row, &other) else {
-                        continue;
-                    };
-                    if let Some(idxs) = index.get(&key) {
-                        for &idx in idxs {
-                            let mut r = row.clone();
-                            r[n] = idx;
-                            joined.push(r);
-                        }
-                    }
-                }
-            } else {
-                let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-                for (ri, row) in rows.iter().enumerate() {
-                    if let Some(key) = chain_row_key(matched, row, &other) {
-                        index.entry(key).or_default().push(ri);
-                    }
-                }
-                for (idx, (_, _, scratch)) in matched[n].iter().enumerate() {
-                    if let Some(key) = key_from(scratch, &n_vars) {
-                        if let Some(ris) = index.get(&key) {
-                            for &ri in ris {
-                                let mut r = rows[ri].clone();
-                                r[n] = idx;
-                                joined.push(r);
-                            }
-                        }
-                    }
-                }
-            }
-            stats_out.push(JoinStats {
-                strategy: JoinStrategy::Multiway,
-                build_rows: n_rows.min(inter_rows),
-                probe_rows: Some(n_rows.max(inter_rows)),
-                distinct_keys: histogram.distinct,
-                max_bucket: histogram.max_bucket,
-                estimated_output: Some(estimated),
-                actual_output: Some(joined.len()),
-            });
-            rows = joined;
-            in_set[n] = true;
-            remaining.remove(&n);
-        }
-        if used.iter().any(|u| !u) {
-            return Ok(None); // defensive: a predicate never became joinable
-        }
-        Ok(Some(ChainPlan {
-            steps: vec![Step::MultiJoin {
-                patterns: patterns.iter().map(|p| (*p).clone()).collect(),
-                rows: Arc::new(materialise_chain_rows(matched, rows)),
-            }],
-            stats: stats_out,
-            feedback: None,
-        }))
-    }
-
-    /// Plan a generator chain of three to [`bushy::MAX_DP_RELATIONS`] via the
-    /// exhaustive bushy enumerator (see [`crate::bushy`]): build the join
-    /// graph's edge selectivities from the persisted per-extent key histograms
-    /// (one histogram per predicate endpoint, computed — and cached in the
-    /// attached [`PlanCache`] — on first use), let the dynamic program pick the
-    /// cheapest tree over every connected shape, then execute the tree with
-    /// recursive hash joins and restore the nested-loop output order with one
-    /// positional sort.
-    ///
-    /// Returns `Ok(None)` to bail out — chain too long for the DP, join graph
-    /// disconnected, or any estimated intermediate of the winning tree past
-    /// [`REORDER_OUTPUT_CAP`] — in which case the caller falls back to the
-    /// greedy chain reorder.
-    fn plan_bushy_join(
-        &self,
-        chain: &Chain,
-        patterns: &[&Pattern],
-        sources: &[&Expr],
-        matched: &[MatchedRows],
+        chain: &Chain<'_>,
+        bags: &BTreeMap<usize, Bag>,
+        env: &Env,
         overrides: Option<&ObservedSelectivities>,
     ) -> Result<Option<ChainPlan>, EvalError> {
-        if chain.len > bushy::MAX_DP_RELATIONS || chain.preds.is_empty() {
+        let extent_rows = |pos: usize| bags.get(&(chain.start + pos)).map_or(0, Bag::len);
+        let (patterns, sources) = (&chain.patterns, &chain.sources);
+        if patterns.len() > bushy::MAX_TREE_RELATIONS
+            || (patterns.len() == 2 && extent_rows(0) >= extent_rows(1))
+        {
             return Ok(None);
         }
+        let matched = match_chain_rows(patterns, chain.start, bags, env)?;
         // Local memo over (chain position, key var): a star hub shares one
         // endpoint across every predicate, and without an attached PlanCache
         // each chain_histogram call would rescan that generator's matched rows.
         let mut histograms: HashMap<(usize, &str), KeyHistogram> = HashMap::new();
         let mut edges: Vec<bushy::EdgeSel> = Vec::with_capacity(chain.preds.len());
         for p in &chain.preds {
-            let earlier = *histograms
-                .entry((p.earlier, p.earlier_var.as_str()))
-                .or_insert_with(|| {
-                    self.chain_histogram(
-                        sources[p.earlier],
-                        patterns[p.earlier],
-                        &[p.earlier_var.as_str()],
-                        &matched[p.earlier],
-                    )
+            let mut distinct = 1;
+            for (pos, var) in [
+                (p.earlier, p.earlier_var.as_str()),
+                (p.later, p.later_var.as_str()),
+            ] {
+                let histogram = histograms.entry((pos, var)).or_insert_with(|| {
+                    self.chain_histogram(sources[pos], patterns[pos], &[var], &matched[pos])
                 });
-            let later = *histograms
-                .entry((p.later, p.later_var.as_str()))
-                .or_insert_with(|| {
-                    self.chain_histogram(
-                        sources[p.later],
-                        patterns[p.later],
-                        &[p.later_var.as_str()],
-                        &matched[p.later],
-                    )
-                });
-            let distinct = earlier.distinct.max(later.distinct).max(1);
+                distinct = distinct.max(histogram.distinct);
+            }
             edges.push(bushy::EdgeSel {
                 a: p.earlier,
                 b: p.later,
@@ -1472,8 +1310,8 @@ impl<P: ExtentProvider> Evaluator<P> {
         }
         // Adaptive re-optimisation: when a previous execution of this plan
         // recorded observed per-edge selectivities (because an estimate
-        // diverged past the configured factor), they replace the histogram
-        // estimates before enumeration — so the DP reconsiders trees with the
+        // diverged past the factor), they replace the histogram estimates
+        // before enumeration — so the DP reconsiders trees with the
         // cardinalities the workload actually produced.
         if let Some(observed) = overrides {
             for edge in &mut edges {
@@ -1484,39 +1322,40 @@ impl<P: ExtentProvider> Evaluator<P> {
             }
         }
         let cards: Vec<usize> = matched.iter().map(Vec::len).collect();
-        let Some(best) = bushy::enumerate(&cards, &edges) else {
-            return Ok(None); // disconnected join graph (or out of DP range)
+        let Some(picked) = bushy::pick_tree(&cards, &edges) else {
+            return Ok(None); // disconnected join graph
         };
-        // Cap every intermediate the winning tree would materialise, not just
-        // its root output — mirroring the greedy planner's per-step cap, so a
-        // chain whose cheapest tree still passes through an explosive
-        // intermediate bails out instead of building it at plan time.
+        // Cap every intermediate the tree would materialise, not just its
+        // root output. The estimate trusts `1/max(distinct)`, which key skew
+        // betrays (one heavy bucket in a high-distinct column); the executor
+        // therefore re-checks **actual** intermediate row counts against the
+        // same cap and aborts mid-join.
         let total: usize = cards.iter().sum();
         let row_cap = REORDER_OUTPUT_CAP * (total + 1) as f64;
-        if best.max_intermediate > row_cap {
+        if picked.max_intermediate > row_cap {
             return Ok(None);
         }
-        // The estimate trusts `1/max(distinct)`, which key skew betrays (one
-        // heavy bucket in a high-distinct column); the executor therefore
-        // re-checks **actual** intermediate row counts against the same cap
-        // and aborts mid-join, falling back to the greedy planner — whose own
-        // per-step estimates feed on observed intermediate sizes.
-        let mut stats_out = Vec::new();
-        let Some(rows) = exec_join_tree(&best.tree, matched, &chain.preds, row_cap, &mut stats_out)
+        let mut stats = Vec::new();
+        let Some(rows) = exec_join_tree(&picked.tree, &matched, &chain.preds, row_cap, &mut stats)
         else {
             return Ok(None);
         };
         // Joins materialise at plan time, so actual node cardinalities are in
-        // hand right here: compare them against what the (possibly overridden)
-        // edge selectivities predicted, and carry the divergence + observed
-        // selectivities out as feedback for the plan cache.
-        let feedback = bushy_feedback(&stats_out, &cards, &edges);
+        // hand right here: for enumerated trees past a pair (the shapes a
+        // replan can change), compare them against what the (possibly
+        // overridden) edge selectivities predicted, and carry the divergence +
+        // observed selectivities out as feedback for the plan cache.
+        let feedback = if (3..=bushy::MAX_DP_RELATIONS).contains(&patterns.len()) {
+            join_feedback(&stats, &cards, &edges)
+        } else {
+            None
+        };
         Ok(Some(ChainPlan {
-            steps: vec![Step::BushyJoin {
+            step: Step::MaterialisedJoin {
                 patterns: patterns.iter().map(|p| (*p).clone()).collect(),
-                rows: Arc::new(materialise_chain_rows(matched, rows)),
-            }],
-            stats: stats_out,
+                rows: Arc::new(materialise_chain_rows(&matched, &rows)),
+            },
+            stats,
             feedback,
         }))
     }
@@ -1530,9 +1369,9 @@ impl<P: ExtentProvider> Evaluator<P> {
         source: &Expr,
         pattern: &Pattern,
         key_vars: &[&str],
-        matched: &[(usize, Value, Env)],
+        matched: &[(Value, Env)],
     ) -> KeyHistogram {
-        let stats_key = match &self.plan_cache {
+        let stats_key = match &self.config.plan_cache {
             // Closed means no free variables *and* no parameters: a histogram
             // computed under one parameter binding is not extent-intrinsic.
             Some(_)
@@ -1548,7 +1387,7 @@ impl<P: ExtentProvider> Evaluator<P> {
             _ => None,
         };
         let version = self.provider.version();
-        if let (Some(cache), Some(key)) = (&self.plan_cache, &stats_key) {
+        if let (Some(cache), Some(key)) = (&self.config.plan_cache, &stats_key) {
             if let Some(histogram) = cache.histogram(key, version) {
                 return histogram;
             }
@@ -1562,7 +1401,7 @@ impl<P: ExtentProvider> Evaluator<P> {
                         let mut counts = counts;
                         let fresh = Arc::make_mut(&mut counts);
                         let mut rows: usize = fresh.values().sum();
-                        for (_, _, scratch) in &matched[scanned..] {
+                        for (_, scratch) in &matched[scanned..] {
                             if let Some(k) = key_from(scratch, key_vars) {
                                 *fresh.entry(k).or_insert(0) += 1;
                                 rows += 1;
@@ -1588,7 +1427,7 @@ impl<P: ExtentProvider> Evaluator<P> {
         }
         let mut counts: HashMap<Value, usize> = HashMap::new();
         let mut rows = 0usize;
-        for (_, _, scratch) in matched {
+        for (_, scratch) in matched {
             if let Some(key) = key_from(scratch, key_vars) {
                 *counts.entry(key).or_insert(0) += 1;
                 rows += 1;
@@ -1599,7 +1438,7 @@ impl<P: ExtentProvider> Evaluator<P> {
             distinct: counts.len(),
             max_bucket: counts.values().copied().max().unwrap_or(0),
         };
-        if let (Some(cache), Some(key)) = (&self.plan_cache, stats_key) {
+        if let (Some(cache), Some(key)) = (&self.config.plan_cache, stats_key) {
             cache.store_histogram(
                 key,
                 version,
@@ -1615,10 +1454,10 @@ impl<P: ExtentProvider> Evaluator<P> {
     /// Build a [`StandingPlan`] for `expr`, or `None` when the shape is not
     /// incrementally maintainable.
     ///
-    /// The plan is built with reordering, bushy enumeration and point-lookup
-    /// indexes all disabled, so the step list is exactly the textual qualifier
-    /// order (`Iterate`/`HashJoin`/`Filter`/`Bind` steps only) and output
-    /// order is structural rather than restored by a plan-time sort. Hash-join
+    /// The plan is built with reordering and point-lookup indexes disabled,
+    /// so the step list is exactly the textual qualifier order
+    /// (`Iterate`/`HashJoin`/`Filter`/`Bind` steps only) and output order is
+    /// structural rather than restored by a plan-time sort. Hash-join
     /// build sides are evaluated **now** and retained behind `Arc`s; deltas
     /// probe those retained indexes instead of rebuilding them — which is
     /// sound precisely while the non-lead extents stay unchanged (the
@@ -1637,20 +1476,16 @@ impl<P: ExtentProvider> Evaluator<P> {
         let Expr::Comp { head, qualifiers } = expr else {
             return Ok(None);
         };
-        let planner = Evaluator {
-            provider: &self.provider,
-            use_planner: true,
-            reorder: false,
-            bushy: false,
-            parallel: self.parallel,
-            use_index: false,
-            columnar: false,
-            plan_cache: None,
-            index_store: None,
-            step_probe: None,
-            engine_stats: None,
-            reopt_factor: self.reopt_factor,
-        };
+        let planner = Evaluator::with_config(
+            &self.provider,
+            EngineConfig {
+                reorder: false,
+                point_indexes: false,
+                columnar: false,
+                parallel_fetch: self.config.parallel_fetch,
+                ..EngineConfig::new()
+            },
+        );
         let plan = planner.plan_comprehension(qualifiers, env, None)?;
         let mut lead = None;
         for (i, step) in plan.steps.iter().enumerate() {
@@ -1824,96 +1659,6 @@ impl<P: ExtentProvider> Evaluator<P> {
     }
 }
 
-/// Plan the leading join pair `p1 <- bag1; p2 <- bag2; <equi-run>` using the two
-/// cardinalities: when the outer extent is smaller, hash *it*, iterate the bigger
-/// inner extent, and restore the nested-loop output order with a stable positional
-/// sort; otherwise keep the textual orientation (scan outer, hash inner). The
-/// reorder is abandoned when the bucket-histogram output estimate says the sort
-/// would dominate.
-fn plan_join_pair(
-    p1: &Pattern,
-    p2: &Pattern,
-    probe_vars: &[&str],
-    build_vars: &[&str],
-    bag1: Bag,
-    bag2: Bag,
-    env: &Env,
-) -> Result<(Vec<Step>, JoinStats), EvalError> {
-    let (n1, n2) = (bag1.len(), bag2.len());
-    if n1 < n2 {
-        // Index the smaller outer side, remembering each element's position so the
-        // output order can be restored after probing in inner-extent order.
-        let mut index1: HashMap<Value, Vec<(usize, Value)>> = HashMap::new();
-        let mut indexed = 0usize;
-        for (pos, element) in bag1.iter().enumerate() {
-            let mut scratch = env.clone();
-            if match_pattern(p1, element, &mut scratch)? {
-                // Probe vars are all bound by p1 (reorder_candidate guarantees it).
-                if let Some(key) = key_from(&scratch, probe_vars) {
-                    index1.entry(key).or_default().push((pos, element.clone()));
-                    indexed += 1;
-                }
-            }
-        }
-        let distinct = index1.len();
-        let max_bucket = index1.values().map(Vec::len).max().unwrap_or(0);
-        let estimated = n2 as f64 * indexed as f64 / distinct.max(1) as f64;
-        if estimated <= REORDER_OUTPUT_CAP * (n1 + n2 + 1) as f64 {
-            let mut tagged: Vec<(usize, Value, Value)> = Vec::new();
-            for element in bag2.iter() {
-                let mut scratch = env.clone();
-                if match_pattern(p2, element, &mut scratch)? {
-                    if let Some(key) = key_from(&scratch, build_vars) {
-                        if let Some(matches) = index1.get(&key) {
-                            for (pos, outer_el) in matches {
-                                tagged.push((*pos, outer_el.clone(), element.clone()));
-                            }
-                        }
-                    }
-                }
-            }
-            // Stable sort on the outer position: rows for one outer element keep
-            // their inner-extent order, restoring the nested-loop output order.
-            tagged.sort_by_key(|(pos, _, _)| *pos);
-            let rows: Vec<(Value, Value)> = tagged.into_iter().map(|(_, a, b)| (a, b)).collect();
-            let actual = rows.len();
-            return Ok((
-                vec![Step::OrderedJoin {
-                    outer: p1.clone(),
-                    inner: p2.clone(),
-                    rows: Arc::new(rows),
-                }],
-                JoinStats {
-                    strategy: JoinStrategy::Reordered,
-                    build_rows: indexed,
-                    probe_rows: Some(n2),
-                    distinct_keys: distinct,
-                    max_bucket,
-                    estimated_output: Some(estimated),
-                    actual_output: Some(actual),
-                },
-            ));
-        }
-    }
-    // Textual orientation: the outer side scans (already evaluated — reuse the
-    // bag), the inner side is hashed.
-    let (index, stats) = build_index(p2, &bag2, build_vars, env, Some(n1))?;
-    Ok((
-        vec![
-            Step::Scan {
-                pattern: p1.clone(),
-                bag: bag1,
-            },
-            Step::HashJoin {
-                pattern: p2.clone(),
-                probe_vars: probe_vars.iter().map(|v| v.to_string()).collect(),
-                index: Arc::new(index),
-            },
-        ],
-        stats,
-    ))
-}
-
 /// Group a build-side bag's elements by the values the pattern binds to
 /// `build_vars` (a composite key when there are several), collecting the bucket
 /// histogram as statistics. Elements the pattern rejects are dropped, exactly as
@@ -1950,28 +1695,9 @@ fn build_index(
     Ok((index, stats))
 }
 
-/// The patterns and sources of a chain's generator slots, in textual order.
-fn chain_parts<'q>(chain: &Chain, slots: &[Slot<'q>]) -> (Vec<&'q Pattern>, Vec<&'q Expr>) {
-    let mut patterns = Vec::with_capacity(chain.len);
-    let mut sources = Vec::with_capacity(chain.len);
-    for pos in 0..chain.len {
-        match &slots[chain.start + pos] {
-            Slot::Gen { pattern, source }
-            | Slot::Fused {
-                pattern, source, ..
-            } => {
-                patterns.push(*pattern);
-                sources.push(*source);
-            }
-            _ => unreachable!("chain covers only generator slots"),
-        }
-    }
-    (patterns, sources)
-}
-
-/// Match each chain generator's prefetched extent once, keeping the original
-/// bag position, the element, and the pattern-bound environment for join-key
-/// extraction. Both chain planners (bushy and greedy) work off these rows.
+/// Match each chain generator's prefetched extent once, keeping — in bag
+/// order — the element and the pattern-bound environment for join-key
+/// extraction.
 fn match_chain_rows(
     patterns: &[&Pattern],
     start: usize,
@@ -1982,10 +1708,10 @@ fn match_chain_rows(
     for (pos, pattern) in patterns.iter().enumerate() {
         let bag = bags.get(&(start + pos)).expect("prefetched chain source");
         let mut rows = Vec::new();
-        for (p, element) in bag.iter().enumerate() {
+        for element in bag.iter() {
             let mut scratch = env.clone();
             if match_pattern(pattern, element, &mut scratch)? {
-                rows.push((p, element.clone(), scratch));
+                rows.push((element.clone(), scratch));
             }
         }
         matched.push(rows);
@@ -1993,57 +1719,50 @@ fn match_chain_rows(
     Ok(matched)
 }
 
-/// Restore the nested-loop output order — lexicographic on the original bag
-/// positions in textual generator order, exactly the order the nested loop
-/// enumerates accepted combinations in — and clone out the element values.
-fn materialise_chain_rows(matched: &[MatchedRows], mut rows: Vec<Vec<usize>>) -> Vec<Vec<Value>> {
-    let m = matched.len();
-    rows.sort_by(|a, b| {
-        for g in 0..m {
-            match matched[g][a[g]].0.cmp(&matched[g][b[g]].0) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    rows.into_iter()
-        .map(|row| (0..m).map(|g| matched[g][row[g]].1.clone()).collect())
+/// Restore the nested-loop output order — lexicographic on the matched-row
+/// indices in textual generator order (matched rows keep bag order), exactly
+/// the order the nested loop enumerates accepted combinations in — and clone
+/// out the element values, row after row.
+fn materialise_chain_rows(matched: &[MatchedRows], rows: &[usize]) -> Vec<Value> {
+    let mut ordered: Vec<&[usize]> = rows.chunks_exact(matched.len()).collect();
+    ordered.sort_unstable(); // rows are distinct index combinations
+    ordered
+        .into_iter()
+        .flat_map(|row| row.iter().zip(matched))
+        .map(|(&idx, rows)| rows[idx].0.clone())
         .collect()
 }
 
-/// Execute a bushy join tree bottom-up over the matched chain extents: a leaf
+/// Execute a join tree bottom-up over the matched chain extents: a leaf
 /// yields one intermediate row per matched element, an internal node hash-joins
 /// its two subtrees' rows on the composite key of every predicate crossing the
 /// cut (each predicate's endpoints land in different subtrees exactly at their
 /// lowest common ancestor, so every predicate is applied exactly once). The
 /// smaller input builds the hash index; the final positional sort makes probe
-/// order irrelevant. One [`JoinStats`] entry is pushed per internal node, in
-/// execution (post-)order.
+/// order irrelevant. A node's rows come back flat, `matched.len()` indices per
+/// row. One [`JoinStats`] entry is pushed per internal node, in execution
+/// (post-)order.
 ///
 /// Returns `None` as soon as any node's **actual** output exceeds `row_cap`:
-/// the enumerator admitted the tree on estimates alone, and key skew can make
-/// an estimate arbitrarily optimistic — aborting here keeps plan-time
-/// materialisation bounded and lets the caller fall back to the greedy
-/// planner.
+/// the tree was admitted on estimates alone, and key skew can make an
+/// estimate arbitrarily optimistic — aborting here keeps plan-time
+/// materialisation bounded and lets the caller keep the textual plan.
 fn exec_join_tree(
     tree: &JoinTree,
     matched: &[MatchedRows],
     preds: &[ChainPred],
     row_cap: f64,
     stats: &mut Vec<JoinStats>,
-) -> Option<Vec<Vec<usize>>> {
+) -> Option<Vec<usize>> {
     let m = matched.len();
     match tree {
-        JoinTree::Leaf(g) => Some(
-            (0..matched[*g].len())
-                .map(|idx| {
-                    let mut row = vec![UNSET; m];
-                    row[*g] = idx;
-                    row
-                })
-                .collect(),
-        ),
+        JoinTree::Leaf(g) => {
+            let mut rows = vec![UNSET; matched[*g].len() * m];
+            for (idx, row) in rows.chunks_exact_mut(m).enumerate() {
+                row[*g] = idx;
+            }
+            Some(rows)
+        }
         JoinTree::Join { left, right } => {
             let lrows = exec_join_tree(left, matched, preds, row_cap, stats)?;
             let rrows = exec_join_tree(right, matched, preds, row_cap, stats)?;
@@ -2059,52 +1778,46 @@ fn exec_join_tree(
                     rparts.push((p.earlier, &p.earlier_var));
                 }
             }
-            debug_assert!(!lparts.is_empty(), "enumerated trees never cross-product");
+            debug_assert!(!lparts.is_empty(), "picked trees never cross-product");
             let (build, bparts, probe, pparts) = if lrows.len() <= rrows.len() {
                 (&lrows, &lparts, &rrows, &rparts)
             } else {
                 (&rrows, &rparts, &lrows, &lparts)
             };
-            let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, row) in build.iter().enumerate() {
+            let mut index: HashMap<Value, Vec<&[usize]>> = HashMap::new();
+            for row in build.chunks_exact(m) {
                 if let Some(key) = chain_row_key(matched, row, bparts) {
-                    index.entry(key).or_default().push(i);
+                    index.entry(key).or_default().push(row);
                 }
             }
             let distinct = index.len();
             let max_bucket = index.values().map(Vec::len).max().unwrap_or(0);
             let mut joined = Vec::new();
-            for prow in probe {
+            for prow in probe.chunks_exact(m) {
                 let Some(key) = chain_row_key(matched, prow, pparts) else {
                     continue;
                 };
-                if let Some(matches) = index.get(&key) {
-                    for &bi in matches {
-                        let mut merged = prow.clone();
-                        for (g, idx) in build[bi].iter().enumerate() {
-                            if *idx != UNSET {
-                                merged[g] = *idx;
-                            }
-                        }
-                        joined.push(merged);
-                    }
+                for brow in index.get(&key).into_iter().flatten() {
+                    // The subtrees' leaf sets are disjoint and `UNSET` is the
+                    // largest index, so `min` merges the two rows.
+                    joined.extend(prow.iter().zip(*brow).map(|(&p, &b)| p.min(b)));
                 }
-                if joined.len() as f64 > row_cap {
+                if (joined.len() / m) as f64 > row_cap {
                     return None; // the estimate was skew-fooled: abort mid-join
                 }
             }
             stats.push(JoinStats {
-                strategy: JoinStrategy::Bushy {
+                strategy: JoinStrategy::Materialised {
                     tree: Arc::new(tree.clone()),
                 },
-                build_rows: build.len(),
-                probe_rows: Some(probe.len()),
+                build_rows: build.len() / m,
+                probe_rows: Some(probe.len() / m),
                 distinct_keys: distinct,
                 max_bucket,
                 estimated_output: Some(
-                    probe.len() as f64 * build.len() as f64 / distinct.max(1) as f64,
+                    (probe.len() / m) as f64 * (build.len() / m) as f64 / distinct.max(1) as f64,
                 ),
-                actual_output: Some(joined.len()),
+                actual_output: Some(joined.len() / m),
             });
             Some(joined)
         }
@@ -2117,7 +1830,7 @@ fn exec_join_tree(
 fn chain_row_key(matched: &[MatchedRows], row: &[usize], parts: &[(usize, &str)]) -> Option<Value> {
     let mut vals = Vec::with_capacity(parts.len());
     for (g, var) in parts {
-        let (_, _, scratch) = &matched[*g][row[*g]];
+        let (_, scratch) = &matched[*g][row[*g]];
         vals.push(scratch.get(var)?.clone());
     }
     Some(composite_key(vals))
@@ -2228,7 +1941,7 @@ fn tree_est(tree: &JoinTree, cards: &[usize], edges: &[bushy::EdgeSel]) -> f64 {
     est
 }
 
-/// Compare each bushy node's materialised cardinality against what the edge
+/// Compare each join node's materialised cardinality against what the edge
 /// selectivities predicted, producing the observed per-edge selectivities and
 /// the worst underestimate ratio. `edges` must be the selectivities the
 /// enumeration actually used (including any re-optimisation overrides), so a
@@ -2241,7 +1954,7 @@ fn tree_est(tree: &JoinTree, cards: &[usize], edges: &[bushy::EdgeSel]) -> f64 {
 /// selectivities independently). Nodes below [`MIN_FEEDBACK_ROWS`] actual rows
 /// do not count towards divergence: tiny results make ratios noisy and
 /// replanning them saves nothing.
-fn bushy_feedback(
+fn join_feedback(
     stats: &[JoinStats],
     cards: &[usize],
     edges: &[bushy::EdgeSel],
@@ -2249,7 +1962,7 @@ fn bushy_feedback(
     let mut observed: ObservedSelectivities = Vec::new();
     let mut max_divergence = 0.0f64;
     for stat in stats {
-        let JoinStrategy::Bushy { tree } = &stat.strategy else {
+        let JoinStrategy::Materialised { tree } = &stat.strategy else {
             continue;
         };
         let Some(actual) = stat.actual_output else {
@@ -2726,7 +2439,10 @@ mod tests {
         );
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
         assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].strategy, JoinStrategy::Reordered);
+        let JoinStrategy::Materialised { tree } = &stats[0].strategy else {
+            panic!("expected a materialised pair: {stats:?}");
+        };
+        assert_eq!(tree.to_string(), "(0 ⋈ 1)", "a pair is the two-leaf tree");
         assert_eq!(stats[0].build_rows, 3, "small side builds the hash index");
         assert_eq!(stats[0].probe_rows, Some(200));
         assert_eq!(stats[0].distinct_keys, 2);
@@ -2816,7 +2532,10 @@ mod tests {
         let q = parse("[{x, d} | {s, k, x} <- <<acc>>; {s2, k2, d} <- <<descr>>; s2 = s; k2 = k]")
             .unwrap();
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
-        assert_eq!(stats[0].strategy, JoinStrategy::Reordered);
+        assert!(matches!(
+            stats[0].strategy,
+            JoinStrategy::Materialised { .. }
+        ));
         let planned = Evaluator::new(&m).eval_closed(&q).unwrap();
         let naive = Evaluator::new(&m)
             .with_nested_loops()
@@ -2857,7 +2576,7 @@ mod tests {
     const CHAIN_Q: &str = "[{x, y, z} | {k1, x} <- <<big, v>>; {k2, y} <- <<mid, v>>; k2 = k1; {k3, z} <- <<small, v>>; k3 = k2]";
 
     #[test]
-    fn three_chain_reorders_bushy_and_preserves_order() {
+    fn three_chain_reorders_along_a_tree_and_preserves_order() {
         let m = chain_fixture();
         let q = parse(CHAIN_Q).unwrap();
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
@@ -2865,13 +2584,13 @@ mod tests {
         assert!(
             stats
                 .iter()
-                .all(|s| matches!(s.strategy, JoinStrategy::Bushy { .. })),
-            "whole chain must go through the bushy enumerator: {stats:?}"
+                .all(|s| matches!(s.strategy, JoinStrategy::Materialised { .. })),
+            "whole chain must join along one tree: {stats:?}"
         );
         // The enumerator joins the small and mid extents before touching big:
         // the 3-row extent builds the first hash index.
         assert_eq!(stats[0].build_rows, 3);
-        let JoinStrategy::Bushy { tree } = &stats[1].strategy else {
+        let JoinStrategy::Materialised { tree } = &stats[1].strategy else {
             unreachable!("checked above");
         };
         assert_eq!(tree.leaves(), vec![0, 1, 2], "root spans the whole chain");
@@ -2883,7 +2602,7 @@ mod tests {
         assert_eq!(
             planned.expect_bag().unwrap().items(),
             naive.expect_bag().unwrap().items(),
-            "multiway join must preserve nested-loop output order"
+            "the materialised chain must preserve nested-loop output order"
         );
         assert!(!planned.expect_bag().unwrap().is_empty());
     }
@@ -2900,7 +2619,7 @@ mod tests {
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
         assert!(stats
             .iter()
-            .all(|s| matches!(s.strategy, JoinStrategy::Bushy { .. })));
+            .all(|s| matches!(s.strategy, JoinStrategy::Materialised { .. })));
         let planned = Evaluator::new(&m).eval_closed(&q).unwrap();
         let naive = Evaluator::new(&m)
             .with_nested_loops()
@@ -2913,10 +2632,10 @@ mod tests {
     }
 
     #[test]
-    fn chain_bails_to_pair_planning_when_estimate_explodes() {
+    fn chain_keeps_the_textual_plan_when_estimate_explodes() {
         // Single-key extents: every chain estimate is a near-cross-product, so
-        // the multiway planner bails and the pair planner (which also bails to
-        // textual orientation) takes over. Answers must still match naive.
+        // the chain planner bails and the textual scan + hash-join plan stays.
+        // Answers must still match naive.
         let mut m = MapExtents::new();
         for (name, n) in [("a,v", 25usize), ("b,v", 30), ("c,v", 35)] {
             m.insert(
@@ -2933,9 +2652,9 @@ mod tests {
         )
         .unwrap();
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
+        assert_eq!(stats.len(), 2);
         assert!(
-            stats.iter().all(|s| s.strategy != JoinStrategy::Multiway
-                && !matches!(s.strategy, JoinStrategy::Bushy { .. })),
+            stats.iter().all(|s| s.strategy == JoinStrategy::Hash),
             "exploding estimates must abandon the chain reorder: {stats:?}"
         );
         let planned = Evaluator::new(&m).eval_closed(&q).unwrap();
@@ -3045,30 +2764,7 @@ mod tests {
         );
     }
 
-    // ---------- bushy join enumeration ----------
-
-    #[test]
-    fn without_bushy_falls_back_to_greedy_multiway() {
-        let m = chain_fixture();
-        let q = parse(CHAIN_Q).unwrap();
-        let stats = Evaluator::new(&m)
-            .without_bushy()
-            .explain(&q, &Env::new())
-            .unwrap();
-        assert!(
-            stats.iter().all(|s| s.strategy == JoinStrategy::Multiway),
-            "bushy disabled: the greedy join-graph reorder must run: {stats:?}"
-        );
-        let planned = Evaluator::new(&m).without_bushy().eval_closed(&q).unwrap();
-        let naive = Evaluator::new(&m)
-            .with_nested_loops()
-            .eval_closed(&q)
-            .unwrap();
-        assert_eq!(
-            planned.expect_bag().unwrap().items(),
-            naive.expect_bag().unwrap().items()
-        );
-    }
+    // ---------- join-tree enumeration ----------
 
     /// A 4-chain whose middle join keeps everything while the two outer joins
     /// are selective: the cheapest plan joins the two ends separately and
@@ -3132,8 +2828,8 @@ mod tests {
         let (m, q) = bushy_fixture();
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
         assert_eq!(stats.len(), 3, "a 4-chain tree has three join nodes");
-        let JoinStrategy::Bushy { tree } = &stats.last().unwrap().strategy else {
-            panic!("expected a bushy plan: {stats:?}");
+        let JoinStrategy::Materialised { tree } = &stats.last().unwrap().strategy else {
+            panic!("expected a materialised join tree: {stats:?}");
         };
         assert!(
             !tree.is_linear(),
@@ -3198,13 +2894,13 @@ mod tests {
     }
 
     #[test]
-    fn bushy_bails_when_skew_betrays_the_estimate() {
+    fn chain_bails_when_skew_betrays_the_estimate() {
         // Three extents whose join column has 21 distinct keys — but one heavy
         // bucket holds 80 of the 100 rows. The `1/max(distinct)` estimate
         // admits the tree (every node estimate is under the cap), while the
         // actual first join materialises 80·80 + 20 rows, well past it. The
-        // executor's actual-count guard must abort and fall back to the
-        // greedy planner; answers still match the nested-loop oracle.
+        // executor's actual-count guard must abort and keep the textual plan;
+        // answers still match the nested-loop oracle.
         let mut m = MapExtents::new();
         for name in ["a,v", "b,v", "c,v"] {
             m.insert(
@@ -3225,10 +2921,8 @@ mod tests {
         .unwrap();
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
         assert!(
-            stats
-                .iter()
-                .all(|s| !matches!(s.strategy, JoinStrategy::Bushy { .. })),
-            "skew-blown actual cardinalities must abort the bushy plan: {stats:?}"
+            stats.iter().all(|s| s.strategy == JoinStrategy::Hash),
+            "skew-blown actual cardinalities must abort the chain plan: {stats:?}"
         );
         let planned = Evaluator::new(&m).eval_closed(&q).unwrap();
         let naive = Evaluator::new(&m)
@@ -3242,7 +2936,7 @@ mod tests {
     }
 
     #[test]
-    fn chains_past_the_dp_bound_use_the_greedy_reorder() {
+    fn chains_past_the_dp_bound_join_along_the_greedy_tree() {
         let mut m = MapExtents::new();
         for i in 0..7 {
             m.insert_pairs(
@@ -3259,10 +2953,11 @@ mod tests {
         let q = parse(&text).unwrap();
         let stats = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
         assert_eq!(stats.len(), 6, "seven generators join six edges");
-        assert!(
-            stats.iter().all(|s| s.strategy == JoinStrategy::Multiway),
-            "chains past MAX_DP_RELATIONS must use the greedy reorder: {stats:?}"
-        );
+        let JoinStrategy::Materialised { tree } = &stats.last().unwrap().strategy else {
+            panic!("chains past MAX_DP_RELATIONS still join along a tree: {stats:?}");
+        };
+        assert_eq!(tree.leaves(), (0..7).collect::<Vec<_>>());
+        assert!(tree.is_linear(), "the greedy builder is left-deep: {tree}");
         let planned = Evaluator::new(&m).eval_closed(&q).unwrap();
         let naive = Evaluator::new(&m)
             .with_nested_loops()
@@ -3282,18 +2977,17 @@ mod tests {
             .with_step_probe(Arc::clone(&probe))
             .eval_closed(&q)
             .unwrap();
-        assert_eq!(probe.count(StepKind::BushyJoin), 1);
-        assert_eq!(probe.count(StepKind::MultiJoin), 0);
-        assert_eq!(probe.count(StepKind::OrderedJoin), 0);
-        // Greedy leg: the same query without bushy runs a MultiJoin instead.
+        assert_eq!(probe.count(StepKind::MaterialisedJoin), 1);
+        assert_eq!(probe.count(StepKind::HashJoin), 0);
+        // Reorder off: the same query runs its textual hash joins instead.
         let probe2 = Arc::new(StepProbe::new());
         Evaluator::new(&m)
-            .without_bushy()
+            .without_reorder()
             .with_step_probe(Arc::clone(&probe2))
             .eval_closed(&q)
             .unwrap();
-        assert_eq!(probe2.count(StepKind::BushyJoin), 0);
-        assert_eq!(probe2.count(StepKind::MultiJoin), 1);
+        assert_eq!(probe2.count(StepKind::MaterialisedJoin), 0);
+        assert_eq!(probe2.count(StepKind::HashJoin), 3);
     }
 
     // ---------- plan caching ----------
@@ -3871,13 +3565,13 @@ mod tests {
         (m, q)
     }
 
-    /// The positions a stats list's bushy join nodes cover, innermost first —
+    /// The positions a stats list's join-tree nodes cover, innermost first —
     /// the shape fingerprint the re-optimisation test pins.
-    fn bushy_shapes(stats: &[JoinStats]) -> Vec<Vec<usize>> {
+    fn tree_shapes(stats: &[JoinStats]) -> Vec<Vec<usize>> {
         stats
             .iter()
             .filter_map(|s| match &s.strategy {
-                JoinStrategy::Bushy { tree } => Some(tree.leaves()),
+                JoinStrategy::Materialised { tree } => Some(tree.leaves()),
                 _ => None,
             })
             .collect()
@@ -3895,7 +3589,7 @@ mod tests {
         // joined first — but key skew makes it 492 rows.
         let initial = Evaluator::new(&m).explain(&q, &Env::new()).unwrap();
         assert_eq!(
-            bushy_shapes(&initial),
+            tree_shapes(&initial),
             vec![vec![0, 1], vec![0, 1, 2]],
             "estimate-driven tree joins hub⋈probe first: {initial:?}"
         );
@@ -3919,7 +3613,7 @@ mod tests {
         assert_eq!(cache.hit_count(), 1, "the re-opt lookup still counts a hit");
         let reopted = ev.explain(&q, &Env::new()).unwrap();
         assert_eq!(
-            bushy_shapes(&reopted),
+            tree_shapes(&reopted),
             vec![vec![0, 2], vec![0, 1, 2]],
             "observed selectivities flip the join order: {reopted:?}"
         );

@@ -30,8 +30,9 @@
 //! * [`eval`] — the evaluator, parameterised by an [`ExtentProvider`]: hash-join
 //!   planning, join-graph reordering of whole generator chains, parallel extent
 //!   fetch, and the LRU-bounded [`PlanCache`] with persisted join-key histograms;
-//! * [`bushy`] — the cost-based bushy join enumerator (DPsize over connected
-//!   subgraphs) behind [`JoinStrategy::Bushy`] plans;
+//! * [`bushy`] — the join-tree picker (DPsize over connected subgraphs, a
+//!   greedy left-deep builder past the DP bound) behind
+//!   [`JoinStrategy::Materialised`] plans;
 //! * [`fetch`] — the process-wide [`FetchPool`] semaphore budgeting every fetch
 //!   fan-out in the process;
 //! * [`index`] — the LRU/byte-bounded [`IndexStore`] of secondary point-lookup
@@ -78,8 +79,8 @@ pub use bushy::JoinTree;
 pub use env::Params;
 pub use error::{EvalError, ParseError};
 pub use eval::{
-    Evaluator, ExtentProvider, JoinStats, JoinStrategy, KeyHistogram, PlanCache, SnapshotId,
-    StandingPlan, StepKind, StepProbe,
+    EngineConfig, Evaluator, ExtentProvider, JoinStats, JoinStrategy, KeyHistogram, PlanCache,
+    SnapshotId, StandingPlan, StepKind, StepProbe,
 };
 pub use fetch::FetchPool;
 pub use index::IndexStore;

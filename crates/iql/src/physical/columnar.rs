@@ -2,7 +2,7 @@
 //!
 //! [`ColumnarPlan::compile`] lowers a logical step list (see
 //! [`crate::plan::Step`]) into columnar operators: plan-time-materialised
-//! sources (scans, reordered/greedy/bushy join results) are decomposed into
+//! sources (scans, materialised join results) are decomposed into
 //! [`SourceTable`]s **once per plan**, hash-join build sides become
 //! pre-decomposed [`ProbeTable`]s, filters compile to typed kernels, and the
 //! head to a column projection. [`exec`] then streams the leading source in
@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 /// One columnar operator, lowered from one logical [`Step`].
 pub(crate) enum COp {
-    /// A source fully materialised at compile time (scan, ordered/greedy/bushy
-    /// join result): expand each incoming row by the table's rows.
+    /// A source fully materialised at compile time (scan, materialised join
+    /// result): expand each incoming row by the table's rows.
     Source(Arc<SourceTable>),
     /// A closed generator source, evaluated and decomposed **once per
     /// execution** — lazily, on the first batch that reaches it with a
@@ -92,18 +92,10 @@ impl ColumnarPlan {
                 Step::Scan { pattern, bag } => {
                     COp::Source(Arc::new(ops::decompose_single(pattern, bag.iter())))
                 }
-                Step::OrderedJoin { outer, inner, rows } => {
-                    let pats = [outer, inner];
-                    let mut tb = TableBuilder::new(&pats);
-                    for row in rows.iter() {
-                        tb.push_row(&pats, |k| if k == 0 { &row.0 } else { &row.1 });
-                    }
-                    COp::Source(Arc::new(tb.finish()))
-                }
-                Step::MultiJoin { patterns, rows } | Step::BushyJoin { patterns, rows } => {
+                Step::MaterialisedJoin { patterns, rows } => {
                     let pats: Vec<&Pattern> = patterns.iter().collect();
                     let mut tb = TableBuilder::new(&pats);
-                    for row in rows.iter() {
+                    for row in rows.chunks_exact(pats.len()) {
                         tb.push_row(&pats, |k| &row[k]);
                     }
                     COp::Source(Arc::new(tb.finish()))

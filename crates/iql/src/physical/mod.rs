@@ -1,7 +1,7 @@
 //! Physical execution of planned comprehensions.
 //!
 //! The logical layer ([`crate::plan`]) describes *what* to run — a step list
-//! the planner, bushy enumerator, `PlanCache` and `IndexStore` cooperate to
+//! the planner, join-tree picker, `PlanCache` and `IndexStore` cooperate to
 //! produce. This module owns *how* it runs, with two interchangeable engines
 //! over the **same** plans:
 //!

@@ -116,21 +116,8 @@ impl<P: ExtentProvider> Evaluator<P> {
                 }
                 Ok(())
             }
-            Some((Step::OrderedJoin { outer, inner, rows }, rest)) => {
-                for (a, b) in rows.iter() {
-                    let mut bound = env.clone();
-                    if match_pattern(outer, a, &mut bound)? && match_pattern(inner, b, &mut bound)?
-                    {
-                        self.exec_plan(head, rest, &bound, out)?;
-                    }
-                }
-                Ok(())
-            }
-            Some((
-                Step::MultiJoin { patterns, rows } | Step::BushyJoin { patterns, rows },
-                rest,
-            )) => {
-                for row in rows.iter() {
+            Some((Step::MaterialisedJoin { patterns, rows }, rest)) => {
+                for row in rows.chunks_exact(patterns.len()) {
                     let mut bound = env.clone();
                     let mut all = true;
                     // Bind in textual order so shadowing matches the nested loop.

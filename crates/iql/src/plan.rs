@@ -33,22 +33,15 @@ pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 pub enum JoinStrategy {
     /// Textual orientation: the earlier generator scans, the later one is hashed.
     Hash,
-    /// Statistics-driven reorder: the *smaller, earlier* extent was hashed, the
-    /// bigger one scans, and output order is restored by a stable positional sort.
-    Reordered,
-    /// One step of a *greedily* reordered generator chain (more generators than
-    /// the DP bound, or the enumerator bailed): the join graph was joined
-    /// greedily smallest-build-side-first, and the nested-loop output order
-    /// restored by one final positional sort over the whole chain. Each
-    /// `Multiway` entry reports one edge join of that chain.
-    Multiway,
-    /// One join node of a cost-based **bushy** join tree over the generator
-    /// chain (see [`crate::bushy`]): the enumerator searched every connected
-    /// tree shape and this node hash-joined the two subtrees' results, with the
-    /// nested-loop output order restored by one final positional sort over the
-    /// whole chain. Each `Bushy` entry reports one internal node, carrying the
-    /// subtree rooted there; the last entry's tree spans the whole chain.
-    Bushy {
+    /// One join node of the leading generator chain's **join tree** (see
+    /// [`crate::bushy`]): the chain was joined along a picked tree — a pair is
+    /// the tree `(0 ⋈ 1)` — at plan time, each node hash-joining its two
+    /// subtrees' results with the smaller side built, and the nested-loop
+    /// output order restored by one final positional sort over the whole
+    /// chain. Each `Materialised` entry reports one internal node, in
+    /// execution (post-)order, carrying the subtree rooted there; the last
+    /// entry's tree spans the whole chain.
+    Materialised {
         /// The join subtree rooted at this node; leaves are chain positions in
         /// textual generator order.
         tree: Arc<JoinTree>,
@@ -77,9 +70,8 @@ pub struct JoinStats {
     /// Estimated join output cardinality: `probe_rows × build_rows / distinct_keys`
     /// (present when `probe_rows` is known).
     pub estimated_output: Option<f64>,
-    /// Rows the join **actually** produced. Joins that materialise at plan time
-    /// (reordered pairs, greedy chains, bushy tree nodes) know this exactly;
-    /// deferred probes (`Hash`, `IndexLookup`) report `None`. The adaptive
+    /// Rows the join **actually** produced. Join-tree nodes materialise at
+    /// plan time and know this exactly; deferred probes (`Hash`, `IndexLookup`) report `None`. The adaptive
     /// re-optimiser compares this against the enumerator's estimate and replans
     /// with observed selectivities when they diverge (see [`PlanCache`]).
     pub actual_output: Option<usize>,
@@ -92,7 +84,7 @@ pub(crate) enum Step {
     /// Plain generator: evaluate the source per incoming row and iterate.
     Iterate { pattern: Pattern, source: Expr },
     /// A generator whose source was already evaluated at plan time (leading
-    /// generator of a join pair whose reorder was considered but not taken).
+    /// generator of a chain whose reorder was considered but not taken).
     Scan { pattern: Pattern, bag: Bag },
     /// A generator + run of equi-join filters fused into a hash join: the source was
     /// evaluated once and indexed by the (possibly composite) join key; each incoming
@@ -102,28 +94,14 @@ pub(crate) enum Step {
         probe_vars: Vec<String>,
         index: Arc<HashMap<Value, Vec<Value>>>,
     },
-    /// A statistics-reordered join pair, fully materialised at plan time with the
-    /// original nested-loop output order already restored: each row binds the outer
-    /// pattern to `.0` and the inner pattern to `.1`.
-    OrderedJoin {
-        outer: Pattern,
-        inner: Pattern,
-        rows: Arc<Vec<(Value, Value)>>,
-    },
-    /// A fully reordered generator *chain* (three or more generators), joined
-    /// greedily at plan time with the nested-loop output order already restored:
-    /// each row binds the patterns in textual order to the row's elements.
-    MultiJoin {
-        patterns: Vec<Pattern>,
-        rows: Arc<Vec<Vec<Value>>>,
-    },
-    /// A generator chain joined along a cost-enumerated **bushy** tree
+    /// The leading generator chain joined along its picked join tree
     /// (recursive hash joins over sub-plans, executed at plan time) with the
     /// nested-loop output order already restored by one positional sort: each
-    /// row binds the patterns in textual order to the row's elements.
-    BushyJoin {
+    /// row — `patterns.len()` consecutive elements of `rows` — binds the
+    /// patterns in textual order to its elements.
+    MaterialisedJoin {
         patterns: Vec<Pattern>,
-        rows: Arc<Vec<Vec<Value>>>,
+        rows: Arc<Vec<Value>>,
     },
     /// A generator + run of point-equality filters (`var = ?param` /
     /// `var = literal`) served by a secondary index: the source's elements are
@@ -150,12 +128,8 @@ pub enum StepKind {
     Scan,
     /// A fused equi-join probe against a prebuilt hash index.
     HashJoin,
-    /// A statistics-reordered join pair, materialised at plan time.
-    OrderedJoin,
-    /// A greedily reordered generator chain, materialised at plan time.
-    MultiJoin,
-    /// A cost-enumerated bushy join tree, materialised at plan time.
-    BushyJoin,
+    /// A generator chain joined along its join tree, materialised at plan time.
+    MaterialisedJoin,
     /// A boolean filter.
     Filter,
     /// A `let` qualifier.
@@ -164,7 +138,8 @@ pub enum StepKind {
     IndexLookup,
 }
 
-const STEP_KINDS: usize = 9;
+/// [`StepProbe`]'s counter-array length; `IndexLookup` stays the last variant.
+const STEP_KINDS: usize = StepKind::IndexLookup as usize + 1;
 
 /// Counts the steps of every plan the evaluator executes, by [`StepKind`].
 ///
@@ -173,8 +148,8 @@ const STEP_KINDS: usize = 9;
 /// comprehensions), every step in its step list is counted once. The
 /// differential test harness uses this to assert that the strategies
 /// [`Evaluator::explain`](crate::eval::Evaluator::explain) reports are the strategies that actually ran —
-/// e.g. a [`JoinStrategy::Bushy`] explain must execute a
-/// [`StepKind::BushyJoin`] step and vice versa.
+/// e.g. a [`JoinStrategy::Materialised`] explain must execute a
+/// [`StepKind::MaterialisedJoin`] step and vice versa.
 #[derive(Debug, Default)]
 pub struct StepProbe {
     counts: [AtomicU64; STEP_KINDS],
@@ -216,9 +191,7 @@ impl Step {
             Step::Iterate { .. } => StepKind::Iterate,
             Step::Scan { .. } => StepKind::Scan,
             Step::HashJoin { .. } => StepKind::HashJoin,
-            Step::OrderedJoin { .. } => StepKind::OrderedJoin,
-            Step::MultiJoin { .. } => StepKind::MultiJoin,
-            Step::BushyJoin { .. } => StepKind::BushyJoin,
+            Step::MaterialisedJoin { .. } => StepKind::MaterialisedJoin,
             Step::IndexLookup { .. } => StepKind::IndexLookup,
             Step::Filter(_) => StepKind::Filter,
             Step::Bind { .. } => StepKind::Bind,
@@ -234,8 +207,8 @@ pub(crate) struct Plan {
     /// True when every plan-time-evaluated source was a closed expression, so the
     /// baked-in indexes/rows are environment-independent and the plan may be cached.
     pub(crate) cacheable: bool,
-    /// Actual-vs-estimated cardinality feedback collected while the bushy join
-    /// tree executed (absent for plans without an enumerated chain).
+    /// Actual-vs-estimated cardinality feedback collected while the join tree
+    /// executed (absent for plans without an enumerated chain).
     pub(crate) feedback: Option<PlanFeedback>,
     /// The lazily compiled columnar form of this plan, shared across every
     /// execution (a cached plan compiles once and every later execution —
@@ -300,10 +273,10 @@ impl StandingPlan {
 /// `(min, max)` chain-position pair the edge connects.
 pub(crate) type ObservedSelectivities = Vec<((usize, usize), f64)>;
 
-/// Cardinality feedback from executing a bushy join tree at plan time: what
+/// Cardinality feedback from executing an enumerated join tree at plan time: what
 /// each cut *actually* selected, and how far the worst node strayed from the
 /// enumerator's estimate. Stored with the cached plan; when the divergence
-/// passes the evaluator's threshold the next execution re-enumerates with the
+/// passes [`DEFAULT_REOPT_FACTOR`] the next execution re-enumerates with the
 /// observed selectivities in place of the histogram estimates.
 pub(crate) struct PlanFeedback {
     pub(crate) observed: ObservedSelectivities,
@@ -328,10 +301,7 @@ impl Plan {
                     .map(|bucket| bucket.len() as u64 * 48 + 96)
                     .sum::<u64>(),
                 Step::IndexLookup { index, .. } => index.approx_bytes(),
-                Step::OrderedJoin { rows, .. } => rows.len() as u64 * 112,
-                Step::MultiJoin { patterns, rows } | Step::BushyJoin { patterns, rows } => {
-                    rows.len() as u64 * (patterns.len() as u64 * 48 + 32)
-                }
+                Step::MaterialisedJoin { rows, .. } => rows.len() as u64 * 48,
                 Step::Iterate { .. } | Step::Filter(_) | Step::Bind { .. } => 64,
             };
         }
@@ -373,7 +343,7 @@ struct CacheEntry {
     version: u64,
     plan: Arc<Plan>,
     /// Observed selectivities awaiting a re-optimisation round (set when the
-    /// plan's feedback diverged past the evaluator's threshold).
+    /// plan's feedback diverged past [`DEFAULT_REOPT_FACTOR`]).
     pending: Option<Arc<ObservedSelectivities>>,
     /// Whether this entry already went through a re-optimisation round at this
     /// version (one round per version: prevents oscillation).
@@ -430,11 +400,11 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 512;
 /// estimated footprint; see [`PlanCache::with_capacity_and_bytes`]).
 pub const DEFAULT_PLAN_CACHE_BYTES: u64 = 64 << 20;
 
-/// Default actual/estimated divergence factor past which a cached plan
-/// re-optimises (see [`Evaluator::with_reopt_factor`](crate::eval::Evaluator::with_reopt_factor)).
+/// Actual/estimated divergence factor past which a cached plan re-optimises
+/// on its next execution.
 pub const DEFAULT_REOPT_FACTOR: f64 = 4.0;
 
-/// Bushy nodes below this many actual rows never count towards re-optimisation
+/// Join-tree nodes below this many actual rows never count towards re-optimisation
 /// divergence: ratios over tiny results are noise, and replanning them saves
 /// nothing.
 pub(crate) const MIN_FEEDBACK_ROWS: f64 = 8.0;
@@ -592,7 +562,7 @@ impl PlanCache {
     }
 
     /// Cached plans re-optimised after their recorded cardinality feedback
-    /// diverged past the evaluator's threshold.
+    /// diverged past [`DEFAULT_REOPT_FACTOR`].
     pub fn reopt_count(&self) -> u64 {
         self.reopts.load(AtomicOrdering::Relaxed)
     }

@@ -10,7 +10,7 @@ use automed::qp::Contribution;
 use automed::wrapper::SourceRegistry;
 use iql::eval::ExtentProvider;
 use iql::value::Value;
-use iql::{parse, Evaluator, PlanCache, SchemeRef};
+use iql::{parse, EngineConfig, Evaluator, PlanCache, SchemeRef};
 use relational::schema::{DataType, RelColumn, RelSchema, RelTable};
 use relational::Database;
 use std::sync::{Arc, RwLock};
@@ -168,7 +168,11 @@ fn shared_virtual_extents_deterministic_across_threads() {
             .collect()
     };
 
-    let shared = VirtualExtents::new(&registry, &defs).with_plan_cache(Arc::new(PlanCache::new()));
+    let engine = EngineConfig {
+        plan_cache: Some(Arc::new(PlanCache::new())),
+        ..EngineConfig::new()
+    };
+    let shared = VirtualExtents::new(&registry, &defs).with_engine(&engine);
     thread::scope(|scope| {
         for _ in 0..THREADS {
             let shared = &shared;

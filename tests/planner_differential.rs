@@ -1,7 +1,7 @@
 //! Differential testing of the comprehension planner: for randomly generated
-//! extents and randomly shaped comprehensions, **planned** (bushy enumeration
-//! on), **nested-loop**, **statistics-reordered**, **bushy-disabled** (greedy
-//! chain reorder only), **sequentially fetched**, **plan-cached**,
+//! extents and randomly shaped comprehensions, **planned** (join-tree
+//! materialisation on), **nested-loop**, **reorder-disabled** (textual hash
+//! joins), **sequentially fetched**, **plan-cached**,
 //! **secondary-indexed** (point filters served by an attached `IndexStore`),
 //! **index-disabled**, **columnar** (the vectorised default) and
 //! **columnar-disabled** (row-at-a-time) evaluation
@@ -17,16 +17,20 @@
 //! **lines** (each generator joins its predecessor), **stars** (every
 //! satellite joins the leading generator), **cliques** (every generator joins
 //! all of its predecessors, producing composite keys), and free mixtures — up
-//! to six generators, the bushy enumerator's full DP range, over extents with
+//! to eight generators, so the enumerator's full DP range *and* the greedy
+//! trees past it are held against the nested-loop oracle, over extents with
 //! hub-style cardinality skew (the `s0` extent is several times larger, with a
 //! narrower key domain, than the satellites). An explain-consistency check
 //! rides along: the strategies [`Evaluator::explain`] reports for each case
 //! must match the step kinds the execution actually runs, counted through
 //! [`StepProbe`].
 //!
-//! A second suite runs the same differential over virtual (integrated)
-//! extents, exercising the parallel per-source contribution fetch and the
-//! automed explain/bushy pass-throughs.
+//! A second suite pins the n = 2 case: random pairs joined on a composite key
+//! with duplicate multiplicities, in both generator orientations — the pair is
+//! the tree `(0 ⋈ 1)` when its outer extent is the smaller one and the textual
+//! hash join otherwise. A third runs the differential over virtual
+//! (integrated) extents, exercising the parallel per-source contribution fetch
+//! and the automed explain/engine pass-throughs.
 //!
 //! The vendored proptest shim derives its RNG seed from the test name, so every
 //! run (including the CI smoke steps) replays the same fixed case sequence;
@@ -39,8 +43,8 @@ use automed::wrapper::SourceRegistry;
 use iql::env::Env;
 use iql::value::{Bag, Value};
 use iql::{
-    parse, Evaluator, ExecEngine, IndexStore, JoinStrategy, MapExtents, Params, PlanCache,
-    StepKind, StepProbe,
+    parse, EngineConfig, Evaluator, ExecEngine, IndexStore, JoinStrategy, MapExtents, Params,
+    PlanCache, StepKind, StepProbe,
 };
 use proptest::prelude::*;
 use relational::schema::{DataType, RelColumn, RelSchema, RelTable};
@@ -87,9 +91,12 @@ fn map_extents(rows: &[Vec<(i64, usize)>]) -> MapExtents {
 /// index store serves as an `IndexLookup` when one is attached.
 type GenSpec = (usize, usize, Option<usize>, Option<(bool, usize)>);
 
-/// A query shape: the join-graph topology mode (line/star/clique/free), 1–6
-/// generators, and optional correlated tail and let-binding.
-type QueryShape = (usize, Vec<GenSpec>, bool, bool);
+/// A query shape: the join-graph topology mode (line/star/clique/free), 1–8
+/// generators, optional correlated tail and let-binding, and whether the
+/// chain is kept *unbroken* — per-generator filters on the last generator
+/// only, so all the generators form one reorderable chain (the only way a
+/// chain long enough for the greedy tree builder comes up often).
+type QueryShape = (usize, Vec<GenSpec>, bool, bool, bool);
 
 fn query_shape() -> impl Strategy<Value = QueryShape> {
     (
@@ -97,12 +104,13 @@ fn query_shape() -> impl Strategy<Value = QueryShape> {
         prop::collection::vec(
             (
                 0usize..6,
-                0usize..6,
+                0usize..8,
                 prop_oneof![Just(None), (0usize..5).prop_map(Some)],
                 prop_oneof![Just(None), (any::<bool>(), 0usize..5).prop_map(Some)],
             ),
-            1..7,
+            1..9,
         ),
+        any::<bool>(),
         any::<bool>(),
         any::<bool>(),
     )
@@ -116,9 +124,14 @@ fn query_shape() -> impl Strategy<Value = QueryShape> {
 /// Only the leading generator may range over the large hub extent `s0`, so the
 /// nested-loop oracle stays polynomially bounded; later generators draw from
 /// the satellites (repeats allowed — self-joins stay covered).
-fn render_query((mode, gens, correlated_tail, with_let): &QueryShape) -> String {
+fn render_query((mode, gens, correlated_tail, with_let, unbroken): &QueryShape) -> String {
     let mut quals: Vec<String> = Vec::new();
     for (i, (scheme_sel, join_to, lit, point)) in gens.iter().enumerate() {
+        let (lit, point) = if *unbroken && i + 1 < gens.len() {
+            (&None, &None)
+        } else {
+            (lit, point)
+        };
         let scheme = if i == 0 {
             scheme_sel % 6
         } else {
@@ -172,8 +185,8 @@ fn items(v: &Value) -> Vec<Value> {
 }
 
 proptest! {
-    /// planned ≡ nested-loop ≡ reorder-disabled ≡ bushy-disabled ≡
-    /// sequential-fetch ≡ plan-cached, element for element, for every generated
+    /// planned ≡ nested-loop ≡ reorder-disabled ≡ sequential-fetch ≡
+    /// plan-cached, element for element, for every generated
     /// query over every generated extent; and the strategies `explain` reports
     /// are the step kinds the execution runs.
     #[test]
@@ -201,10 +214,6 @@ proptest! {
             .without_reorder()
             .eval_closed(&query)
             .expect("reorder-disabled evaluation");
-        let no_bushy = Evaluator::new(&extents)
-            .without_bushy()
-            .eval_closed(&query)
-            .expect("bushy-disabled evaluation");
         let sequential = Evaluator::new(&extents)
             .without_parallel_fetch()
             .eval_closed(&query)
@@ -212,7 +221,6 @@ proptest! {
 
         prop_assert_eq!(items(&planned), items(&naive), "planned vs naive: {}", &text);
         prop_assert_eq!(items(&no_reorder), items(&naive), "no-reorder vs naive: {}", &text);
-        prop_assert_eq!(items(&no_bushy), items(&naive), "no-bushy vs naive: {}", &text);
         prop_assert_eq!(items(&sequential), items(&naive), "sequential vs naive: {}", &text);
 
         // Secondary-index leg: with a shared index store attached, point filters
@@ -348,26 +356,19 @@ proptest! {
             .eval_closed(&query)
             .expect("probed evaluation");
         prop_assert_eq!(items(&probed), items(&naive), "probed vs naive: {}", &text);
-        let pairs: [(&str, bool, StepKind); 5] = [
+        let materialised = |s: &iql::JoinStats| {
+            matches!(s.strategy, JoinStrategy::Materialised { .. })
+        };
+        let pairs: [(&str, bool, StepKind); 3] = [
             (
                 "index",
                 stats.iter().any(|s| s.strategy == JoinStrategy::IndexLookup),
                 StepKind::IndexLookup,
             ),
             (
-                "bushy",
-                stats.iter().any(|s| matches!(s.strategy, JoinStrategy::Bushy { .. })),
-                StepKind::BushyJoin,
-            ),
-            (
-                "multiway",
-                stats.iter().any(|s| s.strategy == JoinStrategy::Multiway),
-                StepKind::MultiJoin,
-            ),
-            (
-                "reordered",
-                stats.iter().any(|s| s.strategy == JoinStrategy::Reordered),
-                StepKind::OrderedJoin,
+                "materialised",
+                stats.iter().any(materialised),
+                StepKind::MaterialisedJoin,
             ),
             (
                 "hash",
@@ -384,6 +385,114 @@ proptest! {
                 &text,
                 &stats
             );
+        }
+        // One entry per join node, each with its figures filled in; the last
+        // node's tree spans the whole chain.
+        for s in stats.iter().filter(|s| materialised(s)) {
+            prop_assert!(
+                s.probe_rows.is_some() && s.estimated_output.is_some() && s.actual_output.is_some(),
+                "join node without statistics for {}: {:?}",
+                &text,
+                s
+            );
+        }
+        if let Some(JoinStrategy::Materialised { tree }) =
+            stats.iter().rfind(|s| materialised(s)).map(|s| &s.strategy)
+        {
+            let nodes = stats.iter().filter(|s| materialised(s)).count();
+            prop_assert_eq!(tree.join_count(), nodes, "one entry per join node: {}", &text);
+            prop_assert_eq!(tree.leaves(), (0..=nodes).collect::<Vec<_>>());
+        }
+    }
+}
+
+// ---------- the n = 2 case, both orientations ----------
+
+/// `{a, b, v}` triples over tiny key domains: composite `(a, b)` keys collide
+/// often and whole rows repeat (duplicate multiplicities).
+fn triple_rows(max: usize) -> impl Strategy<Value = Vec<(i64, i64, usize)>> {
+    prop::collection::vec((0i64..3, 0i64..2, 0usize..2), 0..max)
+}
+
+proptest! {
+    /// A pair joined on a composite key is planned as the tree `(0 ⋈ 1)` when
+    /// (and only when, bar an exploding estimate) its outer extent is the
+    /// smaller one, as the textual hash join otherwise — and either way agrees
+    /// with the nested loop, duplicates and order included.
+    #[test]
+    fn pair_differential_in_both_orientations(
+        small in triple_rows(6),
+        large in triple_rows(14),
+    ) {
+        let mut extents = MapExtents::new();
+        for (name, rows) in [("l", &small), ("r", &large)] {
+            extents.insert(
+                name,
+                Bag::from_values(
+                    rows.iter()
+                        .map(|(a, b, v)| {
+                            Value::tuple(vec![
+                                Value::Int(*a),
+                                Value::Int(*b),
+                                Value::str(format!("{name}{v}")),
+                            ])
+                        })
+                        .collect(),
+                ),
+            );
+        }
+        for (outer, inner, outer_rows, inner_rows) in
+            [("l", "r", small.len(), large.len()), ("r", "l", large.len(), small.len())]
+        {
+            let text = format!(
+                "[{{x, y, a1}} | {{a1, b1, x}} <- <<{outer}>>; {{a2, b2, y}} <- <<{inner}>>; \
+                 a2 = a1; b2 = b1]"
+            );
+            let query = parse(&text).unwrap();
+            let naive = Evaluator::new(&extents)
+                .with_nested_loops()
+                .eval_closed(&query)
+                .expect("naive evaluation");
+            let probe = Arc::new(StepProbe::new());
+            let planned = Evaluator::new(&extents)
+                .with_step_probe(Arc::clone(&probe))
+                .eval_closed(&query)
+                .expect("planned evaluation");
+            let row_engine = Evaluator::new(&extents)
+                .with_columnar(false)
+                .eval_closed(&query)
+                .expect("row-engine evaluation");
+            let no_reorder = Evaluator::new(&extents)
+                .without_reorder()
+                .eval_closed(&query)
+                .expect("reorder-disabled evaluation");
+            prop_assert_eq!(items(&planned), items(&naive), "planned vs naive: {}", &text);
+            prop_assert_eq!(items(&row_engine), items(&naive), "row vs naive: {}", &text);
+            prop_assert_eq!(items(&no_reorder), items(&naive), "no-reorder vs naive: {}", &text);
+
+            let stats = Evaluator::new(&extents)
+                .explain(&query, &Env::new())
+                .expect("explain");
+            prop_assert_eq!(stats.len(), 1, "a pair is one join: {}", &text);
+            match &stats[0].strategy {
+                JoinStrategy::Materialised { tree } => {
+                    prop_assert!(outer_rows < inner_rows, "only a smaller outer reorders: {}", &text);
+                    prop_assert_eq!(tree.to_string(), "(0 ⋈ 1)");
+                    prop_assert_eq!(stats[0].build_rows, outer_rows);
+                    prop_assert_eq!(stats[0].probe_rows, Some(inner_rows));
+                    prop_assert_eq!(stats[0].actual_output, Some(items(&naive).len()));
+                    prop_assert!(stats[0].estimated_output.is_some());
+                    prop_assert_eq!(probe.count(StepKind::MaterialisedJoin), 1);
+                    prop_assert_eq!(probe.count(StepKind::HashJoin), 0);
+                }
+                JoinStrategy::Hash => {
+                    prop_assert_eq!(stats[0].build_rows, inner_rows);
+                    prop_assert_eq!(stats[0].probe_rows, Some(outer_rows));
+                    prop_assert_eq!(probe.count(StepKind::MaterialisedJoin), 0);
+                    prop_assert_eq!(probe.count(StepKind::HashJoin), 1);
+                }
+                other => prop_assert!(false, "unexpected strategy {:?} for {}", other, &text),
+            }
         }
     }
 }
@@ -444,9 +553,9 @@ fn definitions() -> ViewDefinitions {
 }
 
 proptest! {
-    /// Parallel per-source contribution fetch ≡ sequential fetch ≡ bushy-disabled
-    /// ≡ nested loops over randomly populated wrapped sources; the star-join
-    /// query drives the bushy enumerator through the automed pass-through.
+    /// Parallel per-source contribution fetch ≡ sequential fetch ≡ nested loops
+    /// over randomly populated wrapped sources; the star-join query drives the
+    /// join-tree enumerator through the automed pass-through.
     #[test]
     fn virtual_extent_differential(
         alpha_rows in extent_rows(),
@@ -462,8 +571,8 @@ proptest! {
             "[x | {s, k, x} <- <<UAcc>>; s = 'BETA']",
             "[{k1, x} | {k1, k2, x} <- <<Shared>>]",
             "[{a, b} | {s1, k1, a} <- <<UAcc>>; {s2, k2, b} <- <<UAcc>>; k2 = k1]",
-            // A 3-chain over the virtual extent: drives the bushy enumerator
-            // (and its explain pass-through) through the automed layer.
+            // A 3-chain over the virtual extent: drives the enumerator (and
+            // its explain pass-through) through the automed layer.
             "[{a, b, c} | {s1, k1, a} <- <<UAcc>>; {s2, k2, b} <- <<UAcc>>; k2 = k1; {s3, k3, c} <- <<UAcc>>; k3 = k1]",
         ];
         for text in queries {
@@ -475,10 +584,6 @@ proptest! {
                 .sequential()
                 .answer(&query)
                 .expect("sequential answer");
-            let no_bushy = VirtualExtents::new(&registry, &defs)
-                .without_bushy()
-                .answer(&query)
-                .expect("bushy-disabled answer");
             let naive = VirtualExtents::new(&registry, &defs)
                 .sequential()
                 .answer_with_nested_loops(&query)
@@ -487,9 +592,13 @@ proptest! {
             // engine counters attached: the row engine must agree and the
             // columnar engine must never have run.
             let row_stats = Arc::new(iql::EngineStats::new());
+            let row_config = EngineConfig {
+                columnar: false,
+                engine_stats: Some(Arc::clone(&row_stats)),
+                ..EngineConfig::new()
+            };
             let row_engine = VirtualExtents::new(&registry, &defs)
-                .without_columnar()
-                .with_engine_stats(Arc::clone(&row_stats))
+                .with_engine(&row_config)
                 .answer(&query)
                 .expect("columnar-disabled answer");
             prop_assert_eq!(
@@ -511,7 +620,6 @@ proptest! {
                 _ => prop_assert_eq!(&parallel, &naive, "parallel vs naive: {}", text),
             }
             prop_assert_eq!(&parallel, &sequential, "parallel vs sequential: {}", text);
-            prop_assert_eq!(&parallel, &no_bushy, "parallel vs bushy-disabled: {}", text);
             prop_assert_eq!(&parallel, &row_engine, "parallel vs columnar-disabled: {}", text);
 
             // The explain pass-through plans without executing and never
@@ -524,9 +632,7 @@ proptest! {
                     matches!(
                         s.strategy,
                         JoinStrategy::Hash
-                            | JoinStrategy::Reordered
-                            | JoinStrategy::Multiway
-                            | JoinStrategy::Bushy { .. }
+                            | JoinStrategy::Materialised { .. }
                             | JoinStrategy::IndexLookup
                     ),
                     "unexpected strategy for {}: {:?}",

@@ -369,6 +369,52 @@ fn query_errors_map_to_typed_codes() {
     handle.shutdown();
 }
 
+/// A join tree's leaf sets are `u64` masks indexed by chain position, so a
+/// chain of more than 64 generators — a few KiB of query text, far under the
+/// frame cap — must keep its textual plan rather than reach the tree executor
+/// (where, in this debug build, the mask shift would overflow and panic).
+#[test]
+fn seventy_generator_chain_answers_like_the_nested_loop_in_process_and_over_the_wire() {
+    let (handle, addr, ds) = serve_default();
+    let mut quals = vec!["{s0, k0, x0} <- <<UAcc, label>>".to_string()];
+    for i in 1..70 {
+        quals.push(format!("{{s{i}, k{i}, x{i}}} <- <<UAcc, label>>"));
+        quals.push(format!("k{i} = k{}", i - 1));
+    }
+    let text = format!("[{{k0, x69}} | {}]", quals.join("; "));
+    let expr = iql::parse(&text).unwrap();
+
+    let (nested_loop, stats) = {
+        let ds = ds.read().unwrap();
+        let provider = ds.provider().unwrap();
+        (
+            provider.answer_with_nested_loops(&expr).unwrap(),
+            provider.explain(&expr).unwrap(),
+        )
+    };
+    let nested_loop = nested_loop.expect_bag().unwrap().items().to_vec();
+    assert_eq!(
+        nested_loop.len(),
+        5,
+        "keys are unique: one row per UAcc row"
+    );
+    assert_eq!(stats.len(), 69, "one textual hash join per later generator");
+    assert!(
+        stats.iter().all(|s| s.strategy == iql::JoinStrategy::Hash),
+        "a chain wider than a leaf mask keeps its textual plan"
+    );
+
+    let in_process = ds.read().unwrap().query(&text).unwrap();
+    assert_eq!(in_process.into_items(), nested_loop);
+
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.query(&text).unwrap(), nested_loop);
+    assert_eq!(client.query(INCREMENTAL_SHAPE).unwrap().len(), 3);
+    client.close().unwrap();
+    assert_eq!(handle.stats().session_panics(), 0);
+    handle.shutdown();
+}
+
 proptest! {
     /// Fuzz: arbitrary byte blobs thrown at the socket never panic a session
     /// thread and never leak a subscription — the server either answers with
