@@ -1,7 +1,7 @@
 //! Wire-protocol overhead on the Table 1 workload: the same prepared queries
 //! executed in-process vs over a loopback TCP connection.
 //!
-//! Four legs on the integrated dataspace at the bench scale:
+//! Five legs on the integrated dataspace at the bench scale:
 //!
 //! * **q1_in_process**: `PreparedQuery::execute` directly — the floor the wire
 //!   path is measured against;
@@ -12,8 +12,12 @@
 //!   client-acked chunk stream (chunk 16), paying one round trip per chunk —
 //!   the backpressure tax in its most visible form;
 //! * **insert_to_push**: commit one row and block until the standing-query
-//!   delta push arrives — the end-to-end write-to-notification latency of the
-//!   subscription path over the wire.
+//!   delta push arrives on the same connection — the write-to-notification
+//!   latency of the subscription path when the session's own request loop
+//!   forwards the update behind the reply;
+//! * **insert_to_push_cross_connection**: the writer and the subscriber on
+//!   separate connections — the commit has to wake the idle subscriber's
+//!   session, which the in-connection leg cannot see.
 
 use bench::{bench_scale, integrated_dataspace};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -89,31 +93,43 @@ fn table1_wire(c: &mut Criterion) {
             .subscribe(feed, &iql::Params::new())
             .expect("subscribe");
         let next_id = Cell::new(5_000_000i64);
+        let fresh_row = || {
+            let id = next_id.get();
+            next_id.set(id + 1);
+            vec![vec![
+                id.into(),
+                format!("WIRE{id}").into(),
+                "bench".into(),
+                "E. remoti".into(),
+                Value::Float(1.0),
+                Value::Null,
+            ]]
+        };
+        let await_push = |subscriber: &mut wire::Client| {
+            let push = subscriber
+                .recv_push(Duration::from_secs(5))
+                .expect("push channel healthy")
+                .expect("delta arrives");
+            assert_eq!(push.0, sub_id);
+        };
         group.bench_function("insert_to_push", |b| {
             b.iter(|| {
-                let id = next_id.get();
-                next_id.set(id + 1);
                 subscriber
-                    .insert(
-                        "pedro",
-                        "protein",
-                        vec![vec![
-                            id.into(),
-                            format!("WIRE{id}").into(),
-                            "bench".into(),
-                            "E. remoti".into(),
-                            Value::Float(1.0),
-                            Value::Null,
-                        ]],
-                    )
+                    .insert("pedro", "protein", fresh_row())
                     .expect("insert commits");
-                let push = subscriber
-                    .recv_push(Duration::from_secs(5))
-                    .expect("push channel healthy")
-                    .expect("delta arrives");
-                assert_eq!(push.0, sub_id);
+                await_push(&mut subscriber);
             })
         });
+        let mut writer = client.borrow_mut();
+        group.bench_function("insert_to_push_cross_connection", |b| {
+            b.iter(|| {
+                writer
+                    .insert("pedro", "protein", fresh_row())
+                    .expect("insert commits");
+                await_push(&mut subscriber);
+            })
+        });
+        drop(writer);
         subscriber.close().expect("clean close");
     }
 

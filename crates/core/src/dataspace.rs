@@ -23,7 +23,7 @@ use crate::mapping::IntersectionSpec;
 use crate::metrics::{EffortReport, IterationEffort};
 use crate::subscriptions::{
     global_scheme_delta, DepContext, SubState, Subscription, SubscriptionRegistry,
-    SubscriptionUpdate,
+    SubscriptionUpdate, WakeSet,
 };
 use automed::qp::evaluator::{ExtentMemo, SharedExtentCache, VirtualExtents};
 use automed::wrapper::SourceRegistry;
@@ -748,7 +748,7 @@ impl Dataspace {
             Arc::clone(&query.parsed.expr),
             params.clone(),
         ));
-        self.resync_subscription(&state, false)?;
+        self.resync_subscription(&state, None)?;
         let deps = SubState::flat_deps(&state.lock());
         self.subscriptions.register(&state, deps.as_ref());
         Ok(Subscription::from_state(state))
@@ -916,10 +916,14 @@ impl Dataspace {
 
     /// (Re-)execute a subscription's query from scratch and reset its
     /// incremental state: standing plan, synced version stamp and per-scheme
-    /// source dependencies. With `push_refresh`, the new result is also pushed
-    /// as a [`SubscriptionUpdate::Refreshed`] (initial seeding skips the push:
+    /// source dependencies. With a [`WakeSet`], the new result is also pushed
+    /// as a [`SubscriptionUpdate::Refreshed`] (initial seeding passes `None`:
     /// the first result is a baseline, not an update).
-    fn resync_subscription(&self, state: &SubState, push_refresh: bool) -> Result<(), CoreError> {
+    fn resync_subscription(
+        &self,
+        state: &SubState,
+        push_refresh: Option<&mut WakeSet>,
+    ) -> Result<(), CoreError> {
         let provider = self.provider()?;
         let version = ExtentProvider::version(&provider);
         let standing = provider.standing_plan(&state.expr, &state.params)?;
@@ -950,8 +954,8 @@ impl Dataspace {
         inner.standing = standing;
         inner.synced = Some(version);
         inner.scheme_deps = scheme_deps;
-        if push_refresh {
-            inner.updates.push(SubscriptionUpdate::Refreshed(result));
+        if let Some(wake) = push_refresh {
+            inner.push_update(SubscriptionUpdate::Refreshed(result), wake);
         }
         Ok(())
     }
@@ -960,7 +964,9 @@ impl Dataspace {
     /// `(source, table)`: each either takes the incremental path
     /// ([`Dataspace::apply_insert`]) or falls back to re-execution. A
     /// subscription whose fallback re-execution itself fails is marked stale
-    /// (`synced = None`) and retried on the next affecting insert.
+    /// (`synced = None`) and retried on the next affecting insert. Wakers
+    /// ([`Subscription::notify_on_update`]) run once each after the loop, so a
+    /// subscriber woken by this commit finds all of its updates queued.
     ///
     /// The pre-commit provider stamp subscriptions compare their `synced`
     /// stamp against is **derived from the commit itself**, not read from a
@@ -994,6 +1000,7 @@ impl Dataspace {
             definitions: &global.definitions,
             registry: &self.registry,
         };
+        let mut wake = WakeSet::default();
         for state in live {
             if !affected.iter().any(|a| Arc::ptr_eq(a, &state)) {
                 // The dependency index proves this insert cannot change any
@@ -1013,15 +1020,17 @@ impl Dataspace {
                 delta,
                 pre_version,
                 post_version,
+                &mut wake,
             ) {
                 self.subscriptions
                     .fallback_reexecs
                     .fetch_add(1, Ordering::Relaxed);
-                if self.resync_subscription(&state, true).is_err() {
+                if self.resync_subscription(&state, Some(&mut wake)).is_err() {
                     state.lock().synced = None;
                 }
             }
         }
+        wake.fire();
     }
 
     /// Try the O(delta) incremental path for one subscription and one insert.
@@ -1040,6 +1049,7 @@ impl Dataspace {
         delta: &TableDelta,
         pre_version: u64,
         post_version: u64,
+        wake: &mut WakeSet,
     ) -> bool {
         let mut inner = state.lock();
         if inner.synced != Some(pre_version) {
@@ -1087,7 +1097,7 @@ impl Dataspace {
         }
         inner.synced = Some(post_version);
         if !delta_bag.is_empty() {
-            inner.updates.push(SubscriptionUpdate::Delta(delta_bag));
+            inner.push_update(SubscriptionUpdate::Delta(delta_bag), wake);
         }
         self.subscriptions
             .delta_evals
@@ -1102,11 +1112,12 @@ impl Dataspace {
     /// query no longer evaluates is marked stale rather than failing the
     /// schema operation.
     fn refresh_subscriptions(&self) {
+        let mut wake = WakeSet::default();
         for state in self.subscriptions.all_live() {
             self.subscriptions
                 .fallback_reexecs
                 .fetch_add(1, Ordering::Relaxed);
-            match self.resync_subscription(&state, true) {
+            match self.resync_subscription(&state, Some(&mut wake)) {
                 Ok(()) => {
                     let deps = SubState::flat_deps(&state.lock());
                     self.subscriptions.reindex(&state, deps.as_ref());
@@ -1114,6 +1125,7 @@ impl Dataspace {
                 Err(_) => state.lock().synced = None,
             }
         }
+        wake.fire();
     }
 }
 
@@ -1768,6 +1780,75 @@ mod tests {
         assert_eq!(after.delta_evals, before.delta_evals + 1);
         assert_eq!(after.fallback_reexecs, before.fallback_reexecs);
         assert_eq!(sub.result_bag().unwrap(), ds.query(q).unwrap());
+    }
+
+    #[test]
+    fn a_commit_runs_each_distinct_waker_once_after_every_update_is_queued() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+
+        let mut ds = Dataspace::with_config(DataspaceConfig {
+            drop_redundant: false, // every scheme survives `integrate` below
+            ..DataspaceConfig::default()
+        });
+        ds.add_source(pedro()).unwrap();
+        ds.add_source(gpmdb()).unwrap();
+        ds.federate().unwrap();
+        let feed = "[x | {k, x} <- <<PEDRO_protein, PEDRO_accession_num>>]";
+        let count = "count <<PEDRO_protein>>";
+        // Three subscriptions share one waker (a delta-path pair and an
+        // aggregate that re-executes); a fourth has its own; a fifth, on a
+        // source the inserts do not touch, must stay silent.
+        let shared: Vec<Subscription> = [feed, feed, count]
+            .iter()
+            .map(|q| ds.prepare(q).unwrap().subscribe(&Params::new()).unwrap())
+            .collect();
+        let lone = ds.prepare(feed).unwrap().subscribe(&Params::new()).unwrap();
+        let untouched = ds
+            .prepare("[x | {k, x} <- <<GPMDB_proseq, GPMDB_label>>]")
+            .unwrap()
+            .subscribe(&Params::new())
+            .unwrap();
+
+        // What the shared waker finds queued each time it runs.
+        let seen: Arc<Mutex<Vec<usize>>> = Arc::default();
+        let waker: crate::subscriptions::Waker = {
+            let (subs, seen) = (shared.clone(), Arc::clone(&seen));
+            Arc::new(move || {
+                let queued = subs.iter().map(|s| s.drain_updates().len()).sum();
+                seen.lock().unwrap().push(queued);
+            })
+        };
+        for sub in &shared {
+            sub.notify_on_update(Arc::clone(&waker));
+        }
+        let lone_wakes = Arc::new(AtomicUsize::new(0));
+        let silent_wakes = Arc::new(AtomicUsize::new(0));
+        for (sub, wakes) in [(&lone, &lone_wakes), (&untouched, &silent_wakes)] {
+            let wakes = Arc::clone(wakes);
+            sub.notify_on_update(Arc::new(move || {
+                wakes.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+
+        for (id, acc) in [(3, "ACC3"), (4, "ACC4")] {
+            ds.insert(
+                "pedro",
+                "protein",
+                vec![id.into(), acc.into(), "Rat".into()],
+            )
+            .unwrap();
+        }
+        assert_eq!(*seen.lock().unwrap(), vec![3, 3], "one wake per commit");
+        assert_eq!(lone_wakes.load(Ordering::SeqCst), 2);
+        assert_eq!(lone.drain_updates().len(), 2);
+        assert_eq!(silent_wakes.load(Ordering::SeqCst), 0);
+
+        // A schema change refreshes every subscription and wakes each once.
+        ds.integrate(uprotein_spec()).unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![3, 3, 3]);
+        assert_eq!(lone_wakes.load(Ordering::SeqCst), 3);
+        assert_eq!(silent_wakes.load(Ordering::SeqCst), 1);
     }
 
     #[test]

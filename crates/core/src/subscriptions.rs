@@ -65,6 +65,13 @@ pub enum SubscriptionUpdate {
     Refreshed(Value),
 }
 
+/// The callback a subscriber registers with
+/// [`Subscription::notify_on_update`]. It runs on the committing thread, under
+/// the dataspace's write borrow, so it must only signal (set a flag, notify a
+/// condition variable) — the woken party then calls
+/// [`Subscription::drain_updates`].
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
 /// A live subscription handle: the current result plus the queue of updates
 /// since the last drain. Clones share the same underlying state; the handle is
 /// independent of the dataspace's borrow (it stays usable — serving the last
@@ -90,6 +97,16 @@ impl Subscription {
     /// Take every update pushed since the last drain, in push order.
     pub fn drain_updates(&self) -> Vec<SubscriptionUpdate> {
         std::mem::take(&mut self.state.lock().updates)
+    }
+
+    /// Register the callback run whenever a commit (or schema change) queues
+    /// an update for this subscription, replacing any earlier one. One commit
+    /// runs each distinct waker **once**, after the last subscription it
+    /// affects has been updated — so a subscriber sharing one waker across
+    /// its subscriptions is woken once and finds every update of that commit
+    /// ready to drain. Updates already queued at registration do not fire it.
+    pub fn notify_on_update(&self, waker: Waker) {
+        self.state.lock().waker = WakerSlot(Some(waker));
     }
 
     /// Whether the subscription currently holds a standing plan — i.e. whether
@@ -128,7 +145,50 @@ pub(crate) struct SubInner {
     /// scheme must be treated as affected by **every** insert.
     pub(crate) scheme_deps: BTreeMap<String, Option<BTreeSet<(String, String)>>>,
     /// Updates pushed since the subscriber last drained.
-    pub(crate) updates: Vec<SubscriptionUpdate>,
+    updates: Vec<SubscriptionUpdate>,
+    /// Who to wake when `updates` grows (see [`Subscription::notify_on_update`]).
+    waker: WakerSlot,
+}
+
+/// An optional [`Waker`], printable (closures are not `Debug`).
+#[derive(Default)]
+struct WakerSlot(Option<Waker>);
+
+impl std::fmt::Debug for WakerSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.is_some() { "Some(..)" } else { "None" })
+    }
+}
+
+impl SubInner {
+    /// Queue one update for the subscriber — the only place `updates` grows —
+    /// and note its waker in `wake`, which the caller fires once the whole
+    /// commit has been fanned out.
+    pub(crate) fn push_update(&mut self, update: SubscriptionUpdate, wake: &mut WakeSet) {
+        self.updates.push(update);
+        if let Some(waker) = &self.waker.0 {
+            wake.add(waker);
+        }
+    }
+}
+
+/// The distinct wakers of the subscriptions one commit has updated so far.
+#[derive(Default)]
+pub(crate) struct WakeSet(Vec<Waker>);
+
+impl WakeSet {
+    fn add(&mut self, waker: &Waker) {
+        if !self.0.iter().any(|w| Arc::ptr_eq(w, waker)) {
+            self.0.push(Arc::clone(waker));
+        }
+    }
+
+    /// Run each waker once. Call with no subscription lock held.
+    pub(crate) fn fire(self) {
+        for waker in self.0 {
+            waker();
+        }
+    }
 }
 
 impl SubState {
@@ -142,6 +202,7 @@ impl SubState {
                 synced: None,
                 scheme_deps: BTreeMap::new(),
                 updates: Vec::new(),
+                waker: WakerSlot::default(),
             }),
         }
     }

@@ -3,7 +3,7 @@
 //! count is bounded, so threads are the worker pool).
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -36,10 +36,6 @@ pub struct ServerConfig {
     pub default_chunk_rows: usize,
     /// Hard ceiling on rows per chunk regardless of what the client asks.
     pub max_chunk_rows: usize,
-    /// Socket read timeout for session polling — the cadence at which a
-    /// session checks for shutdown and drains subscription pushes while the
-    /// client is quiet.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -51,7 +47,6 @@ impl Default for ServerConfig {
             max_session_handles: 64,
             default_chunk_rows: 256,
             max_chunk_rows: 16_384,
-            poll_interval: Duration::from_millis(20),
         }
     }
 }
@@ -112,7 +107,7 @@ pub fn serve(
     let stats = Arc::new(ServerStats::new());
     let shutdown = Arc::new(AtomicBool::new(false));
     let permits = Arc::new(Semaphore::new(config.exec_permits));
-    let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+    let sessions: Arc<Mutex<Vec<SessionSlot>>> = Arc::new(Mutex::new(Vec::new()));
 
     let acceptor = {
         let stats = Arc::clone(&stats);
@@ -134,13 +129,21 @@ pub fn serve(
     })
 }
 
+/// One admitted connection, as the listener tracks it: the session's thread
+/// and a clone of its socket, through which shutdown ends the session's
+/// blocking read.
+struct SessionSlot {
+    thread: JoinHandle<()>,
+    stream: TcpStream,
+}
+
 /// Control handle for a running server.
 pub struct ServerHandle {
     local_addr: SocketAddr,
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    sessions: Arc<Mutex<Vec<SessionSlot>>>,
 }
 
 impl ServerHandle {
@@ -155,35 +158,44 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, tell live sessions to finish (each
-    /// sends a [`ErrorCode::ShuttingDown`] frame and tears down, dropping its
-    /// subscriptions and streams), and join every thread.
+    /// sends a [`ErrorCode::ShuttingDown`] frame and tears down, joining its
+    /// push thread and dropping its subscriptions and streams), and join
+    /// every thread.
     pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let handles: Vec<_> =
+        self.stop();
+        let slots: Vec<_> =
             std::mem::take(&mut *self.sessions.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in handles {
-            let _ = handle.join();
+        for slot in slots {
+            let _ = slot.thread.join();
         }
     }
 
-    fn begin_shutdown(&self) {
+    /// Stop the acceptor, then end every session's blocking read so it sees
+    /// the flag. Idempotent.
+    fn stop(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking `accept` with a throwaway connect.
         let _ = TcpStream::connect(self.local_addr);
+        let _ = acceptor.join();
+        // With the acceptor joined the slot list is final. Only the read half
+        // goes: the session still writes its `ShuttingDown` frame.
+        for slot in self
+            .sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
+            let _ = slot.stream.shutdown(Shutdown::Read);
+        }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.begin_shutdown();
-            if let Some(acceptor) = self.acceptor.take() {
-                let _ = acceptor.join();
-            }
-        }
+        self.stop();
     }
 }
 
@@ -195,7 +207,7 @@ fn accept_loop(
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
     permits: Arc<Semaphore>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    sessions: Arc<Mutex<Vec<SessionSlot>>>,
 ) {
     for incoming in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
@@ -206,20 +218,25 @@ fn accept_loop(
         // unboundedly on long-lived servers.
         {
             let mut live = sessions.lock().unwrap_or_else(PoisonError::into_inner);
-            live.retain(|h| !h.is_finished());
+            live.retain(|slot| !slot.thread.is_finished());
         }
         if stats.connections_open() >= config.max_connections as u64 {
             stats.connection_rejected();
             reject(stream, &stats, "connection limit reached");
             continue;
         }
+        // Without a second handle on the socket shutdown could not reach the
+        // session; drop the connection rather than admit it.
+        let Ok(wake_stream) = stream.try_clone() else {
+            continue;
+        };
         stats.connection_accepted();
         let dataspace = Arc::clone(&dataspace);
         let session_stats = Arc::clone(&stats);
         let session_config = config.clone();
         let session_shutdown = Arc::clone(&shutdown);
         let session_permits = Arc::clone(&permits);
-        let handle = std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || {
             let guard_stats = Arc::clone(&session_stats);
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
                 run_session(
@@ -239,7 +256,10 @@ fn accept_loop(
         sessions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
+            .push(SessionSlot {
+                thread,
+                stream: wake_stream,
+            });
     }
 }
 

@@ -1,21 +1,34 @@
 //! Per-connection session: the dispatch loop that turns request frames into
-//! engine calls and responses, drains subscription pushes between polls, and
-//! tears everything down (streams, subscriptions, snapshot pins) when the
-//! client goes away — cleanly or not.
+//! engine calls and responses, the push thread a commit wakes to forward
+//! subscription updates, and the teardown of everything the client held
+//! (streams, subscriptions, snapshot pins) when it goes away — cleanly or not.
+//!
+//! Every frame leaves through one [`Outbound`] behind one lock, which also
+//! holds the session's subscriptions. That single lock is what orders pushes:
+//!
+//! - [`flush_pushes`] drains every subscription and writes the frames inside
+//!   it, so whichever thread calls it (the push thread on a wake, the request
+//!   loop after a frame it handled) each update leaves exactly once and in
+//!   queue order;
+//! - `Subscribed` is written before the subscription is entered in the map,
+//!   so no `Push` for a `sub_id` precedes the frame that announces it;
+//! - the subscription leaves the map before `Unsubscribed` is written, so no
+//!   `Push` for a `sub_id` follows it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::thread::JoinHandle;
 
 use dataspace_core::dataspace::{Dataspace, DataspaceStats};
 use dataspace_core::error::CoreError;
-use dataspace_core::subscriptions::{Subscription, SubscriptionUpdate};
+use dataspace_core::subscriptions::{Subscription, SubscriptionUpdate, Waker};
 use iql::value::{Bag, Value};
 use iql::Params;
 
-use wire::frame::{write_frame, FrameError, FrameReader, SERVER_ORIGIN_ID};
+use wire::frame::{encode_frame, write_frame, FrameError, FrameReader, SERVER_ORIGIN_ID};
 use wire::proto::{ErrorCode, PushUpdate, Request, Response};
 
 use crate::server::{Semaphore, ServerConfig};
@@ -32,9 +45,163 @@ struct StreamState {
     _pins: Vec<relational::Snapshot>,
 }
 
-/// One live subscription held on behalf of the client.
-struct SubEntry {
-    subscription: Subscription,
+/// The session's write side: the socket (a `try_clone` of the one the request
+/// loop reads) and the live subscriptions whose updates are pushed down it,
+/// keyed by `sub_id`. See the module docs for what holding both under one
+/// lock guarantees.
+struct Outbound {
+    stream: TcpStream,
+    subs: BTreeMap<u64, Subscription>,
+}
+
+impl Outbound {
+    /// Write one response frame; `false` means the client is unreachable.
+    fn write(&mut self, stats: &ServerStats, request_id: u64, response: &Response) -> bool {
+        let body = response.encode_body();
+        match write_frame(&mut self.stream, request_id, response.opcode() as u8, &body) {
+            Ok(n) => {
+                stats.add_bytes_out(n);
+                if matches!(response, Response::Error { .. }) {
+                    stats.error_sent();
+                }
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
+fn lock_outbound(outbound: &Mutex<Outbound>) -> MutexGuard<'_, Outbound> {
+    // A panic mid-write leaves at worst a torn frame, which the client's
+    // checksum catches; the map itself is valid at every step.
+    outbound.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Drain every subscription's pending updates and write them as `Push` frames
+/// in one `write_all` — subscription order, queue order within each. The one
+/// function that forwards updates; `false` means the client is unreachable.
+fn flush_pushes(outbound: &Mutex<Outbound>, stats: &ServerStats) -> bool {
+    let mut out = lock_outbound(outbound);
+    let mut framed = Vec::new();
+    let mut pushes = 0u64;
+    for (&sub_id, subscription) in &out.subs {
+        for update in subscription.drain_updates() {
+            let update = match update {
+                SubscriptionUpdate::Delta(bag) => PushUpdate::Delta(bag.into_items()),
+                SubscriptionUpdate::Refreshed(value) => PushUpdate::Refreshed(value),
+            };
+            let push = Response::Push { sub_id, update };
+            framed.extend(encode_frame(
+                SERVER_ORIGIN_ID,
+                push.opcode() as u8,
+                &push.encode_body(),
+            ));
+            pushes += 1;
+        }
+    }
+    if pushes == 0 {
+        return true;
+    }
+    if out.stream.write_all(&framed).is_err() {
+        return false;
+    }
+    stats.add_bytes_out(framed.len() as u64);
+    stats.pushes_flushed(pushes);
+    true
+}
+
+/// What a commit's waker sets and the push thread sleeps on. Level-triggered:
+/// a wake that lands while the thread is busy flushing is not lost, and any
+/// number of wakes before it looks again cost one flush.
+#[derive(Default)]
+struct PushSignal {
+    state: Mutex<SignalState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct SignalState {
+    pending: bool,
+    stop: bool,
+}
+
+impl PushSignal {
+    fn set(&self, change: impl FnOnce(&mut SignalState)) {
+        change(&mut self.state.lock().unwrap_or_else(PoisonError::into_inner));
+        self.changed.notify_one();
+    }
+
+    /// Sleep until woken; `false` once the session is tearing down.
+    fn wait(&self) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while !state.pending && !state.stop {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.pending = false;
+        !state.stop
+    }
+}
+
+/// The push thread of a session that has subscribed: woken by commits through
+/// [`Pusher::waker`], it forwards the updates they queued. Dropping it stops
+/// and joins the thread.
+struct Pusher {
+    signal: Arc<PushSignal>,
+    waker: Waker,
+    thread: Option<JoinHandle<()>>,
+    stats: Arc<ServerStats>,
+}
+
+impl Pusher {
+    fn spawn(outbound: Arc<Mutex<Outbound>>, stats: Arc<ServerStats>) -> std::io::Result<Pusher> {
+        let signal = Arc::new(PushSignal::default());
+        // Called from the session's request thread, whose own commits need no
+        // wake: its loop flushes right behind the reply it is about to send.
+        let request_thread = std::thread::current().id();
+        let waker: Waker = {
+            let signal = Arc::clone(&signal);
+            Arc::new(move || {
+                if std::thread::current().id() != request_thread {
+                    signal.set(|s| s.pending = true);
+                }
+            })
+        };
+        let thread = {
+            let (signal, stats) = (Arc::clone(&signal), Arc::clone(&stats));
+            std::thread::Builder::new()
+                .name("session-push".into())
+                .spawn(move || {
+                    while signal.wait() {
+                        if !flush_pushes(&outbound, &stats) {
+                            // End the request loop's blocking read too: the
+                            // session tears down as for any vanished client.
+                            let _ = lock_outbound(&outbound).stream.shutdown(Shutdown::Both);
+                            return;
+                        }
+                    }
+                })?
+        };
+        Ok(Pusher {
+            signal,
+            waker,
+            thread: Some(thread),
+            stats,
+        })
+    }
+}
+
+impl Drop for Pusher {
+    fn drop(&mut self) {
+        self.signal.set(|s| s.stop = true);
+        if let Some(thread) = self.thread.take() {
+            if thread.join().is_err() {
+                self.stats.session_panic();
+            }
+        }
+    }
 }
 
 pub(crate) fn run_session(
@@ -45,8 +212,16 @@ pub(crate) fn run_session(
     shutdown: Arc<AtomicBool>,
     permits: Arc<Semaphore>,
 ) {
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
     let mut session = Session {
         stream,
+        outbound: Arc::new(Mutex::new(Outbound {
+            stream: writer,
+            subs: BTreeMap::new(),
+        })),
+        pusher: None,
         reader: FrameReader::new(),
         consumed_in: 0,
         dataspace,
@@ -57,16 +232,21 @@ pub(crate) fn run_session(
         handles: HashMap::new(),
         next_handle: 1,
         streams: HashMap::new(),
-        subs: HashMap::new(),
         next_sub: 1,
     };
     session.run();
-    // Dropping the session drops every Subscription handle (unregistering the
-    // standing queries) and every stream's snapshot pins.
+    // Dropping the session joins its push thread, then drops every
+    // Subscription handle (unregistering the standing queries) and every
+    // stream's snapshot pins.
 }
 
 struct Session {
+    /// The read half; every write goes through `outbound`.
     stream: TcpStream,
+    outbound: Arc<Mutex<Outbound>>,
+    /// Spawned by the first `Subscribe`; sessions that never subscribe run on
+    /// their one thread.
+    pusher: Option<Pusher>,
     reader: FrameReader,
     /// Frame bytes already credited to the server's `bytes_in` counter.
     consumed_in: u64,
@@ -83,19 +263,20 @@ struct Session {
     next_handle: u64,
     /// Open result streams, keyed by the request id that opened them.
     streams: HashMap<u64, StreamState>,
-    subs: HashMap<u64, SubEntry>,
     next_sub: u64,
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        // The listener keeps a clone of the socket until it reaps the thread,
+        // so closing this end takes an explicit shutdown; it also fails any
+        // write the push thread is blocked in, so `pusher`'s join returns.
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
 }
 
 impl Session {
     fn run(&mut self) {
-        if self
-            .stream
-            .set_read_timeout(Some(self.config.poll_interval))
-            .is_err()
-        {
-            return;
-        }
         self.stream.set_nodelay(true).ok();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -108,9 +289,8 @@ impl Session {
                 );
                 return;
             }
-            if !self.flush_pushes() {
-                return;
-            }
+            // A blocking read: nothing is polled for. Updates from other
+            // sessions' commits wake the push thread, shutdown ends the read.
             match self.reader.poll(&mut self.stream) {
                 Ok(None) => continue,
                 Ok(Some(frame)) => {
@@ -120,7 +300,15 @@ impl Session {
                     if !self.handle_frame(frame.request_id, frame.opcode, &frame.body) {
                         return;
                     }
+                    // Updates this frame queued (the session's own insert, or
+                    // commits that raced its `Subscribe`) follow the reply on
+                    // this thread, without waiting for the push thread.
+                    if self.pusher.is_some() && !flush_pushes(&self.outbound, &self.stats) {
+                        return;
+                    }
                 }
+                // `ServerHandle::shutdown` ended the read: say goodbye above.
+                Err(_) if self.shutdown.load(Ordering::SeqCst) => continue,
                 // Clean close between frames: the client vanished without a
                 // `Close`; tear down silently.
                 Err(FrameError::Closed) => return,
@@ -146,34 +334,6 @@ impl Session {
                 }
             }
         }
-    }
-
-    /// Drain pending updates from every subscription into push frames.
-    /// Returns `false` if the client is unreachable.
-    fn flush_pushes(&mut self) -> bool {
-        let mut pushes: Vec<(u64, Vec<SubscriptionUpdate>)> = Vec::new();
-        for (id, entry) in &self.subs {
-            let updates = entry.subscription.drain_updates();
-            if !updates.is_empty() {
-                pushes.push((*id, updates));
-            }
-        }
-        // Deliver in subscription order; updates within one subscription keep
-        // their push order.
-        pushes.sort_by_key(|(id, _)| *id);
-        for (sub_id, updates) in pushes {
-            for update in updates {
-                let update = match update {
-                    SubscriptionUpdate::Delta(bag) => PushUpdate::Delta(bag.into_items()),
-                    SubscriptionUpdate::Refreshed(value) => PushUpdate::Refreshed(value),
-                };
-                if !self.send(SERVER_ORIGIN_ID, &Response::Push { sub_id, update }) {
-                    return false;
-                }
-                self.stats.push_sent();
-            }
-        }
-        true
     }
 
     /// Dispatch one frame. Returns `false` when the session should end.
@@ -218,17 +378,7 @@ impl Session {
                 )
             }
             Request::Subscribe { handle, params } => self.on_subscribe(request_id, handle, &params),
-            Request::Unsubscribe { sub_id } => {
-                if self.subs.remove(&sub_id).is_some() {
-                    self.send(request_id, &Response::Unsubscribed)
-                } else {
-                    self.send_error(
-                        request_id,
-                        ErrorCode::BadSubscription,
-                        format!("no live subscription {sub_id}"),
-                    )
-                }
-            }
+            Request::Unsubscribe { sub_id } => self.on_unsubscribe(request_id, sub_id),
             Request::Insert {
                 source,
                 table,
@@ -270,14 +420,14 @@ impl Session {
 
     /// Run a bag-producing execution and open a stream over its rows.
     fn run_bag(&mut self, request_id: u64, text: &str, params: &Params, chunk_rows: u32) -> bool {
-        if self.streams.len() + self.subs.len() >= self.config.max_session_handles {
+        let open_handles = self.open_handles();
+        if open_handles >= self.config.max_session_handles {
             self.stats.busy_rejection();
             return self.send_error(
                 request_id,
                 ErrorCode::ServerBusy,
                 format!(
-                    "session holds {} open streams/subscriptions (limit {})",
-                    self.streams.len() + self.subs.len(),
+                    "session holds {open_handles} open streams/subscriptions (limit {})",
                     self.config.max_session_handles
                 ),
             );
@@ -418,33 +568,76 @@ impl Session {
                 format!("no prepared handle {handle}"),
             );
         };
-        if self.streams.len() + self.subs.len() >= self.config.max_session_handles {
+        let open_handles = self.open_handles();
+        if open_handles >= self.config.max_session_handles {
             self.stats.busy_rejection();
             return self.send_error(
                 request_id,
                 ErrorCode::ServerBusy,
                 format!(
-                    "session holds {} open streams/subscriptions (limit {})",
-                    self.streams.len() + self.subs.len(),
+                    "session holds {open_handles} open streams/subscriptions (limit {})",
                     self.config.max_session_handles
                 ),
             );
         }
+        let waker = match &self.pusher {
+            Some(pusher) => Arc::clone(&pusher.waker),
+            None => match Pusher::spawn(Arc::clone(&self.outbound), Arc::clone(&self.stats)) {
+                Ok(pusher) => Arc::clone(&self.pusher.insert(pusher).waker),
+                Err(e) => {
+                    self.stats.busy_rejection();
+                    return self.send_error(
+                        request_id,
+                        ErrorCode::ServerBusy,
+                        format!("cannot start the session's push thread: {e}"),
+                    );
+                }
+            },
+        };
+        // Register, snapshot `initial` and arm the waker under one read lock:
+        // commits take the write lock, so every insert is either folded into
+        // `initial` or queued as an update — never both, never neither.
         let outcome = {
             let ds = self.read_ds();
-            ds.prepare(&text).and_then(|q| q.subscribe(params))
+            ds.prepare(&text)
+                .and_then(|q| q.subscribe(params))
+                .map(|subscription| {
+                    subscription.notify_on_update(waker);
+                    (subscription.result(), subscription)
+                })
         };
         match outcome {
-            Ok(subscription) => {
+            Ok((initial, subscription)) => {
                 let sub_id = self.next_sub;
                 self.next_sub += 1;
-                let initial = subscription.result();
-                self.subs.insert(sub_id, SubEntry { subscription });
                 self.stats.subscription_opened();
-                self.send(request_id, &Response::Subscribed { sub_id, initial })
+                // Announce, then make it visible to `flush_pushes`; updates
+                // queued since the snapshot leave with the flush after this
+                // frame.
+                let mut out = lock_outbound(&self.outbound);
+                let sent = out.write(
+                    &self.stats,
+                    request_id,
+                    &Response::Subscribed { sub_id, initial },
+                );
+                out.subs.insert(sub_id, subscription);
+                sent
             }
             Err(e) => self.send_core_error(request_id, &e),
         }
+    }
+
+    fn on_unsubscribe(&mut self, request_id: u64, sub_id: u64) -> bool {
+        let mut out = lock_outbound(&self.outbound);
+        if out.subs.remove(&sub_id).is_some() {
+            return out.write(&self.stats, request_id, &Response::Unsubscribed);
+        }
+        drop(out);
+        self.send_error(
+            request_id,
+            ErrorCode::BadSubscription,
+            format!("no live subscription {sub_id}"),
+        )
     }
 
     fn on_insert(
@@ -501,6 +694,11 @@ impl Session {
         self.send(request_id, &Response::StatsResult { counters })
     }
 
+    /// Open streams + live subscriptions, the count `max_session_handles` caps.
+    fn open_handles(&self) -> usize {
+        self.streams.len() + lock_outbound(&self.outbound).subs.len()
+    }
+
     fn read_ds(&self) -> std::sync::RwLockReadGuard<'_, Dataspace> {
         self.dataspace
             .read()
@@ -515,17 +713,7 @@ impl Session {
 
     /// Write one response frame; `false` means the client is unreachable.
     fn send(&mut self, request_id: u64, response: &Response) -> bool {
-        let body = response.encode_body();
-        match write_frame(&mut self.stream, request_id, response.opcode() as u8, &body) {
-            Ok(n) => {
-                self.stats.add_bytes_out(n);
-                if matches!(response, Response::Error { .. }) {
-                    self.stats.error_sent();
-                }
-                self.stream.flush().is_ok()
-            }
-            Err(_) => false,
-        }
+        lock_outbound(&self.outbound).write(&self.stats, request_id, response)
     }
 
     fn send_error(&mut self, request_id: u64, code: ErrorCode, message: String) -> bool {

@@ -25,6 +25,10 @@ pub struct ServerStats {
     timeouts: AtomicU64,
     chunks_sent: AtomicU64,
     pushes_sent: AtomicU64,
+    /// Socket writes that carried pushes: every update pending across a
+    /// session's subscriptions leaves in one, so `pushes_sent / push_flushes`
+    /// is how many a wake-up found ready.
+    push_flushes: AtomicU64,
     streams_opened: AtomicU64,
     subscriptions_opened: AtomicU64,
     /// Frame-layer failures that tore a session down (checksum, oversize,
@@ -81,8 +85,10 @@ impl ServerStats {
         self.chunks_sent.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn push_sent(&self) {
-        self.pushes_sent.fetch_add(1, Ordering::Relaxed);
+    /// One coalesced write carrying `pushes` update frames.
+    pub(crate) fn pushes_flushed(&self, pushes: u64) {
+        self.pushes_sent.fetch_add(pushes, Ordering::Relaxed);
+        self.push_flushes.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn stream_opened(&self) {
@@ -124,6 +130,11 @@ impl ServerStats {
     /// Subscription pushes written to clients.
     pub fn pushes_sent(&self) -> u64 {
         self.pushes_sent.load(Ordering::Relaxed)
+    }
+
+    /// Socket writes those pushes were coalesced into.
+    pub fn push_flushes(&self) -> u64 {
+        self.push_flushes.load(Ordering::Relaxed)
     }
 
     /// Connections currently open.
@@ -173,6 +184,10 @@ impl ServerStats {
             (
                 "server_pushes_sent".to_string(),
                 self.pushes_sent.load(Ordering::Relaxed),
+            ),
+            (
+                "server_push_flushes".to_string(),
+                self.push_flushes.load(Ordering::Relaxed),
             ),
             (
                 "server_streams_opened".to_string(),

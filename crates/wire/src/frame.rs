@@ -132,13 +132,15 @@ pub fn write_frame(
     Ok(framed.len() as u64)
 }
 
-/// An incremental frame decoder over a blocking `Read` with a read timeout.
+/// An incremental frame decoder over a blocking `Read`, with or without a
+/// read timeout.
 ///
 /// The reader owns a buffer that survives timeouts: a read that returns
 /// `WouldBlock`/`TimedOut` mid-frame keeps the partial bytes, and the next
 /// [`FrameReader::poll`] resumes where it left off — the caller can interleave
-/// other work (a server session drains subscription pushes between polls)
-/// without ever losing frame alignment.
+/// other work (a client waits under a deadline in short read slices) without
+/// ever losing frame alignment. A server session reads without a timeout and
+/// simply blocks until a frame, EOF or shutdown arrives.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,

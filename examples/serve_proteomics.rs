@@ -162,13 +162,16 @@ fn run_smoke(addr: std::net::SocketAddr) -> Result<(), Box<dyn std::error::Error
     };
     assert!(get("server_requests_prepare") >= 2);
     assert_eq!(get("server_pushes_sent"), 1);
+    assert_eq!(get("server_push_flushes"), 1);
     assert!(get("server_chunks_sent") >= chunks as u64);
     assert_eq!(get("server_session_panics"), 0);
     println!(
-        "stats: {} connections accepted, {} bytes in, {} bytes out",
+        "stats: {} connections accepted, {} bytes in, {} bytes out, {} pushes in {} writes",
         get("server_connections_accepted"),
         get("server_bytes_in"),
         get("server_bytes_out"),
+        get("server_pushes_sent"),
+        get("server_push_flushes"),
     );
 
     client.unsubscribe(sub_id)?;

@@ -453,13 +453,31 @@ proptest! {
 
 #[test]
 fn shutdown_is_graceful_with_live_sessions() {
-    let (handle, addr, _ds) = serve_default();
+    let (handle, addr, ds) = serve_default();
     let mut client = Client::connect(addr).unwrap();
     assert_eq!(client.query(INCREMENTAL_SHAPE).unwrap().len(), 3);
 
-    // Shutdown joins the acceptor and every session thread; live sessions are
-    // told with a ShuttingDown frame before their sockets close.
+    // A second session sits idle in its blocking read, holding a subscription
+    // (and so a push thread).
+    let mut idle = Client::connect(addr).unwrap();
+    let (h, _) = idle.prepare(INCREMENTAL_SHAPE).unwrap();
+    idle.subscribe(h, &Params::new()).unwrap();
+    assert_eq!(ds.read().unwrap().stats().subscriptions, 1);
+
+    // Shutdown joins the acceptor and every session thread (each of which
+    // joins its push thread first); live sessions are told with a
+    // ShuttingDown frame before their sockets close.
+    let stats = std::sync::Arc::clone(handle.stats());
     handle.shutdown();
+    assert_eq!(ds.read().unwrap().stats().subscriptions, 0);
+    assert_eq!(stats.session_panics(), 0);
+    assert_eq!(stats.connections_open(), 0);
+
+    let told = idle.recv_push(Duration::from_secs(2));
+    assert_eq!(
+        told.expect_err("no push, a goodbye").server_code(),
+        Some(ErrorCode::ShuttingDown)
+    );
 
     client.set_response_timeout(Duration::from_secs(2));
     let err = client.stats().expect_err("server is gone");

@@ -7,12 +7,19 @@
 //! answered over the wire must equal in-process execution — rows **and
 //! order** — and every standing subscription must have received exactly one
 //! push per delta.
+//!
+//! The push-path legs hold the server to what event-driven delivery promises:
+//! a subscription opened or closed while inserts land folds to re-execution
+//! (nothing twice, nothing after `Unsubscribed`), an idle subscriber hears of
+//! a commit within a wake-up rather than a polling period, and a subscriber
+//! that stops reading stalls nobody else.
 
 #[path = "wire_support/mod.rs"]
 mod wire_support;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use iql::{Params, Value};
 use server::ServerConfig;
@@ -267,5 +274,226 @@ fn mixed_subscribers_and_writers_stay_consistent() {
 
     assert_eq!(handle.stats().session_panics(), 0);
     subscriber.close().unwrap();
+    handle.shutdown();
+}
+
+/// One alpha row; `label` is what [`INCREMENTAL_SHAPE`] projects.
+fn alpha_row(id: i64, label: &str) -> Vec<Vec<Value>> {
+    vec![vec![id.into(), label.into()]]
+}
+
+#[test]
+fn subscriptions_racing_inserts_fold_to_reexecution() {
+    const CYCLES: usize = 300;
+
+    let (handle, addr, ds) = serve_with(ServerConfig::default());
+
+    // Writer: single-row inserts back to back until told to stop.
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let mut id = 10_000i64;
+            while !stop.load(Ordering::SeqCst) {
+                client
+                    .insert("alpha", "t", alpha_row(id, &format!("R{id}")))
+                    .unwrap();
+                id += 1;
+            }
+            client.close().unwrap();
+        })
+    };
+
+    // Subscriber: open, linger a moment, close — over and over, against the
+    // insert stream. The shape is append-only in commit order, so `initial`
+    // plus the deltas in arrival order is a prefix of the final result iff no
+    // row was delivered twice, skipped or reordered.
+    let mut subscriber = Client::connect(addr).unwrap();
+    let (h, _) = subscriber.prepare(INCREMENTAL_SHAPE).unwrap();
+    let mut folds: Vec<Vec<Value>> = Vec::new();
+    let mut last = None;
+    for cycle in 0..=CYCLES {
+        let (sub_id, initial) = subscriber.subscribe(h, &Params::new()).unwrap();
+        let Value::Bag(initial) = initial else {
+            panic!("bag-shaped standing result")
+        };
+        let mut fold = initial.into_items();
+        if cycle == CYCLES {
+            // The last one stays open across the writer's end.
+            last = Some((sub_id, fold));
+            break;
+        }
+        // Pushes read while lingering, then — `recv_push(ZERO)` reads only
+        // the inbox — those the client set aside while it waited for the
+        // `Unsubscribed` reply.
+        let linger_until = Instant::now() + Duration::from_micros(300 * (cycle % 4) as u64);
+        let mut closed = false;
+        loop {
+            let wait = linger_until.saturating_duration_since(Instant::now());
+            match subscriber.recv_push(wait).unwrap() {
+                Some((got, PushUpdate::Delta(rows))) => {
+                    // A push for an earlier `sub_id` would have followed its
+                    // `Unsubscribed`.
+                    assert_eq!(got, sub_id, "cycle {cycle}");
+                    fold.extend(rows);
+                }
+                Some((_, PushUpdate::Refreshed(_))) => panic!("unexpected fallback refresh"),
+                None if closed => break,
+                None => {
+                    subscriber.unsubscribe(sub_id).unwrap();
+                    closed = true;
+                }
+            }
+        }
+        folds.push(fold);
+    }
+
+    stop.store(true, Ordering::SeqCst);
+    writer.join().expect("writer thread");
+    let reexecuted = subscriber.query(INCREMENTAL_SHAPE).unwrap();
+    assert!(reexecuted.len() > ALPHA_SEED.len(), "the writer wrote");
+
+    let (sub_id, mut fold) = last.expect("final subscription");
+    while fold.len() < reexecuted.len() {
+        match subscriber.recv_push(Duration::from_secs(5)).unwrap() {
+            Some((got, PushUpdate::Delta(rows))) => {
+                assert_eq!(got, sub_id);
+                fold.extend(rows);
+            }
+            other => panic!("missing pushes at quiesce: {other:?}"),
+        }
+    }
+    assert_eq!(fold, reexecuted, "the open subscription at quiesce");
+    for (cycle, fold) in folds.iter().enumerate() {
+        assert!(
+            reexecuted.starts_with(fold),
+            "cycle {cycle}: initial + pushes is not a prefix of re-execution"
+        );
+    }
+
+    subscriber.close().unwrap();
+    eventually("subscriptions dropped", || {
+        ds.read().unwrap().stats().subscriptions == 0
+    });
+    assert_eq!(handle.stats().session_panics(), 0);
+    handle.shutdown();
+}
+
+#[test]
+fn idle_subscriber_hears_of_a_commit_within_two_milliseconds() {
+    const INSERTS: usize = 200;
+    const SUBS: usize = 4;
+
+    let (handle, addr, _ds) = serve_with(ServerConfig::default());
+    let mut subscriber = Client::connect(addr).unwrap();
+    let (h, _) = subscriber.prepare(INCREMENTAL_SHAPE).unwrap();
+    for _ in 0..SUBS {
+        subscriber.subscribe(h, &Params::new()).unwrap();
+    }
+
+    // The subscriber does nothing but wait for pushes, stamping the arrival
+    // of the last one each insert owes it.
+    let listener = std::thread::spawn(move || {
+        let arrivals: Vec<Instant> = (0..INSERTS)
+            .map(|i| {
+                for _ in 0..SUBS {
+                    subscriber
+                        .recv_push(Duration::from_secs(5))
+                        .unwrap()
+                        .unwrap_or_else(|| panic!("a push of insert {i} never arrived"));
+                }
+                Instant::now()
+            })
+            .collect();
+        subscriber.close().unwrap();
+        arrivals
+    });
+
+    let mut writer = Client::connect(addr).unwrap();
+    let mut sent = Vec::with_capacity(INSERTS);
+    for i in 0..INSERTS {
+        std::thread::sleep(Duration::from_millis(2));
+        sent.push(Instant::now());
+        writer
+            .insert("alpha", "t", alpha_row(3000 + i as i64, "PACED"))
+            .unwrap();
+    }
+    let arrivals = listener.join().expect("listener thread");
+
+    let mut lag: Vec<Duration> = sent
+        .iter()
+        .zip(&arrivals)
+        .map(|(sent, arrived)| arrived.duration_since(*sent))
+        .collect();
+    lag.sort();
+    let median = lag[INSERTS / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median insert-to-push {median:?} (slowest {:?})",
+        lag[INSERTS - 1]
+    );
+    // One wake per commit, after all four updates are queued: a commit's
+    // pushes are never split across writes (a late wake may merge two).
+    assert_eq!(handle.stats().pushes_sent(), (SUBS * INSERTS) as u64);
+    let flushes = handle.stats().push_flushes();
+    assert!(
+        flushes <= INSERTS as u64,
+        "{flushes} writes for {INSERTS} commits"
+    );
+
+    writer.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn a_subscriber_that_stops_reading_stalls_nobody_else() {
+    const INSERTS: usize = 64;
+    const STALLED_SUBS: usize = 16;
+
+    let (handle, addr, ds) = serve_with(ServerConfig::default());
+
+    // Sixteen subscriptions on a connection that never reads again: every
+    // insert owes it 16 x 64 KiB, far beyond what loopback buffers hold, so
+    // its push thread ends up blocked mid-write.
+    let mut stalled = Client::connect(addr).unwrap();
+    let (h, _) = stalled.prepare(INCREMENTAL_SHAPE).unwrap();
+    for _ in 0..STALLED_SUBS {
+        stalled.subscribe(h, &Params::new()).unwrap();
+    }
+    let mut reader = Client::connect(addr).unwrap();
+    let (h, _) = reader.prepare(INCREMENTAL_SHAPE).unwrap();
+    let (reader_sub, _) = reader.subscribe(h, &Params::new()).unwrap();
+
+    let mut writer = Client::connect(addr).unwrap();
+    writer.set_response_timeout(Duration::from_secs(5));
+    let payload = "x".repeat(64 * 1024);
+    for i in 0..INSERTS {
+        // Acknowledged: the commit only sets the stalled session's flag.
+        writer
+            .insert("alpha", "t", alpha_row(4000 + i as i64, &payload))
+            .unwrap();
+        // And the healthy subscriber still gets its push.
+        match reader.recv_push(Duration::from_secs(5)).unwrap() {
+            Some((sub_id, PushUpdate::Delta(rows))) => {
+                assert_eq!((sub_id, rows.len()), (reader_sub, 1), "insert {i}");
+            }
+            other => panic!("insert {i}: expected a delta, got {other:?}"),
+        }
+    }
+    let owed = (INSERTS * (STALLED_SUBS + 1)) as u64;
+    assert!(
+        handle.stats().pushes_sent() < owed,
+        "the stalled connection took every push: nothing was blocked"
+    );
+
+    // Closing the stalled socket fails the blocked write; the session ends.
+    drop(stalled);
+    reader.close().unwrap();
+    writer.close().unwrap();
+    eventually("subscriptions dropped", || {
+        ds.read().unwrap().stats().subscriptions == 0
+    });
+    assert_eq!(handle.stats().session_panics(), 0);
     handle.shutdown();
 }
