@@ -34,7 +34,7 @@ use iql::value::{Bag, Value};
 use iql::{EngineConfig, IndexStore, Params, PlanCache};
 use relational::storage::{BatchCommit, StorageEngine};
 use relational::store::TableDelta;
-use relational::wal::{CommitLog, CompactionReport, LogRecord};
+use relational::wal::{CommitLog, CompactionReport};
 use relational::Database;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -165,7 +165,8 @@ pub struct Dataspace {
     /// [`iql::EngineStats`]).
     engine_stats: Arc<iql::EngineStats>,
     /// The attached durable commit log, if any (see [`Dataspace::open`]):
-    /// every committed batch is appended as one [`LogRecord`].
+    /// every committed batch is appended as one
+    /// [`relational::wal::LogRecord`], ahead of its apply.
     wal: Option<CommitLog>,
     /// Committed batches appended to the attached log over this dataspace's
     /// lifetime (recovery replays excluded).
@@ -767,51 +768,36 @@ impl Dataspace {
     /// led by the inserted table's (sole changed) global extent are maintained
     /// incrementally from the appended rows alone; the rest transparently
     /// re-execute. Subscription maintenance never fails the insert itself.
+    ///
+    /// This is the one commit path — validate → append → apply → notify. With
+    /// a commit log attached the storage engine appends the batch after
+    /// validating it and before applying it
+    /// ([`StorageEngine::commit_batch`]), so a failed append
+    /// ([`CoreError::Storage`]) leaves the rows invisible, the snapshot where
+    /// it was and every subscription untouched.
     pub fn insert_many(
         &mut self,
         source: &str,
         table: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<(), CoreError> {
-        self.apply_batch(source, table, rows, true)
-    }
-
-    /// The shared commit path: validate and apply the batch as one storage
-    /// commit, append it to the attached commit log (unless this *is* a replay
-    /// — `log: false`), and fan the delta out to subscriptions. The pre/post
-    /// stamps subscriptions sync on derive from the [`BatchCommit`] — i.e.
-    /// from inside the storage engine's critical section — not from a provider
-    /// snapshot taken before the write (see [`Dataspace::notify_subscriptions`]).
-    fn apply_batch(
-        &mut self,
-        source: &str,
-        table: &str,
-        rows: Vec<Vec<Value>>,
-        log: bool,
-    ) -> Result<(), CoreError> {
-        // Clone the raw rows for the log record up front (cheap: values are
-        // `Arc`-backed scalars); the commit consumes the originals.
-        let logged = (log && self.wal.is_some()).then(|| rows.clone());
+        let log = self.wal.as_mut();
+        let logged = log.is_some();
         let commit = self
             .registry
             .database_mut(source)?
-            .commit_batch(table, rows)?;
+            .commit_batch(table, rows, log)?;
         if !commit.appended() {
-            // Empty batch: the snapshot did not move, nothing to log, and no
-            // subscription may be touched (no update pushed, no
+            // Empty batch: the snapshot did not move, nothing was logged, and
+            // no subscription may be touched (no update pushed, no
             // delta-eligibility stamp burned).
             return Ok(());
         }
-        if let (Some(rows), Some(wal)) = (logged, self.wal.as_mut()) {
-            wal.append(&LogRecord {
-                snapshot: commit.post_snapshot,
-                source: source.to_string(),
-                table: table.to_string(),
-                rows,
-            })
-            .map_err(|e| CoreError::Storage(format!("commit-log append failed: {e}")))?;
+        if logged {
             self.wal_appends += 1;
         }
+        // Subscriptions sync on the commit's own pre/post stamps, taken inside
+        // the engine's critical section, not on a snapshot from before it.
         self.notify_subscriptions(source, &commit);
         Ok(())
     }
@@ -881,9 +867,11 @@ impl Dataspace {
             rows_replayed: 0,
             truncated_bytes: recovered.truncated_bytes,
         };
+        // The log attaches only after the replay, so replayed batches run
+        // the commit path without one and are not re-appended.
         for record in recovered.records {
             let rows = record.rows.len() as u64;
-            self.apply_batch(&record.source, &record.table, record.rows, false)
+            self.insert_many(&record.source, &record.table, record.rows)
                 .map_err(|e| {
                     CoreError::Storage(format!(
                         "commit-log replay failed for `{}.{}` (was the dataspace \
@@ -1914,5 +1902,55 @@ mod tests {
         );
         // The stranded subscription keeps serving its last good result.
         assert_eq!(stranded.result(), stranded_before);
+    }
+
+    /// Write-ahead: a batch whose log append fails is never applied — no
+    /// visible row, no snapshot move, no `wal_appends`, no subscription
+    /// update, no key left taken — and the poisoned log refuses the retry
+    /// until it is reopened. Linux only: `/dev/full` fails every write.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_log_append_leaves_memory_log_and_subscribers_agreeing() {
+        let path =
+            std::env::temp_dir().join(format!("dataspace-write-ahead-{}.wal", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let mut ds = dataspace();
+        ds.open(&path).unwrap();
+        let q = "[x | {k, x} <- <<PEDRO_protein, PEDRO_accession_num>>]";
+        let sub = ds.prepare(q).unwrap().subscribe(&Params::new()).unwrap();
+        let batch = vec![vec![3.into(), "ACC3".into(), Value::Null]];
+        let snapshot = |ds: &Dataspace| ds.registry.database("pedro").unwrap().current_snapshot();
+        let before = (snapshot(&ds), ds.query(q).unwrap(), ds.stats().wal_appends);
+
+        ds.wal
+            .as_mut()
+            .unwrap()
+            .redirect_writes("/dev/full")
+            .unwrap();
+        let err = ds
+            .insert_many("pedro", "protein", batch.clone())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Storage(_)), "{err}");
+        assert_eq!(
+            (snapshot(&ds), ds.query(q).unwrap(), ds.stats().wal_appends),
+            before,
+            "the failed batch is invisible and unlogged"
+        );
+        assert!(sub.drain_updates().is_empty(), "and never pushed");
+
+        let retry = ds
+            .insert_many("pedro", "protein", batch.clone())
+            .unwrap_err();
+        assert!(retry.to_string().contains("reopen"), "{retry}");
+
+        // Reopened, the log takes the very same batch: its key was never
+        // taken.
+        ds.wal = Some(CommitLog::open(&path, false).unwrap().log);
+        ds.insert_many("pedro", "protein", batch).unwrap();
+        assert_eq!(snapshot(&ds), before.0 + 1);
+        assert_eq!(ds.stats().wal_appends, before.2 + 1);
+        assert_eq!(sub.drain_updates().len(), 1);
+        assert_eq!(sub.result_bag().unwrap(), ds.query(q).unwrap());
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -75,7 +75,11 @@ impl From<iql::EvalError> for CoreError {
 
 impl From<relational::RelError> for CoreError {
     fn from(e: relational::RelError) -> Self {
-        CoreError::Relational(e.to_string())
+        use relational::RelError::{LogAppend, LogPoisoned};
+        match e {
+            LogAppend(_) | LogPoisoned => CoreError::Storage(e.to_string()),
+            e => CoreError::Relational(e.to_string()),
+        }
     }
 }
 

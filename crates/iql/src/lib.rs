@@ -25,6 +25,8 @@
 //!   placeholders ([`Expr::Param`]) keep one expression per query *shape*
 //!   across parameter bindings;
 //! * [`value`] — runtime values and bag algebra;
+//! * [`codec`] — the one byte format: the tagged value encoding and the
+//!   checksummed envelope the commit log and the wire protocol share;
 //! * [`env`](mod@env) — lexical environments and the [`Params`] binding sets
 //!   prepared queries execute under;
 //! * [`eval`] — the evaluator, parameterised by an [`ExtentProvider`]: hash-join
@@ -59,6 +61,7 @@
 pub mod ast;
 pub mod builtins;
 pub mod bushy;
+pub mod codec;
 pub mod env;
 pub mod error;
 pub mod eval;

@@ -32,6 +32,12 @@ pub enum RelError {
     DuplicateKey { table: String, key: String },
     /// A NOT NULL column received a null value.
     NullViolation { table: String, column: String },
+    /// The commit log failed to record a batch (carries the I/O detail); the
+    /// batch was not applied and the log is now poisoned.
+    LogAppend(String),
+    /// The commit log refused a batch because an earlier append failed; it
+    /// accepts appends again only once reopened.
+    LogPoisoned,
 }
 
 impl fmt::Display for RelError {
@@ -71,6 +77,11 @@ impl fmt::Display for RelError {
             RelError::NullViolation { table, column } => {
                 write!(f, "null value for NOT NULL column `{table}.{column}`")
             }
+            RelError::LogAppend(e) => write!(f, "commit-log append failed: {e}"),
+            RelError::LogPoisoned => write!(
+                f,
+                "commit log refuses appends after an earlier append failed; reopen it"
+            ),
         }
     }
 }

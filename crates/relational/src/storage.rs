@@ -18,15 +18,16 @@
 //!
 //! [`crate::store::Database`] is the in-memory implementation; the file-backed
 //! commit log in [`crate::wal`] makes any engine's history durable by recording
-//! one [`crate::wal::LogRecord`] per committed batch. The snapshot id doubles
-//! as the provider version stamp ([`iql::ExtentProvider::version`]), which is
-//! how plan caches, extent memos, point-lookup indexes, key histograms and
-//! subscription `synced` stamps all become snapshot-pinned without changing
-//! their types.
+//! one [`crate::wal::LogRecord`] per committed batch, written ahead of the
+//! batch's apply. The snapshot id doubles as the provider version stamp
+//! ([`iql::ExtentProvider::version`]), which is how plan caches, extent memos,
+//! point-lookup indexes, key histograms and subscription `synced` stamps all
+//! become snapshot-pinned without changing their types.
 
 use crate::error::RelError;
 use crate::schema::RelSchema;
 use crate::store::{Row, TableDelta};
+use crate::wal::CommitLog;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -131,7 +132,18 @@ pub trait StorageEngine {
     /// Validate and apply one write batch atomically; on success every row is
     /// stamped with the new snapshot id. On error nothing is applied and the
     /// snapshot does not move.
-    fn commit_batch(&mut self, table: &str, rows: Vec<Row>) -> Result<BatchCommit, RelError>;
+    ///
+    /// With a `log`, the commit is write-ahead — validate → append → apply:
+    /// the batch's record is appended after validation and before anything
+    /// in memory changes, so a failed append ([`RelError::LogAppend`] /
+    /// [`RelError::LogPoisoned`]) leaves the engine exactly as it was.
+    /// Recovery replays records with no log.
+    fn commit_batch(
+        &mut self,
+        table: &str,
+        rows: Vec<Row>,
+        log: Option<&mut CommitLog>,
+    ) -> Result<BatchCommit, RelError>;
 
     /// The rows of `table` visible at `snapshot`: the stable prefix appended
     /// by commits up to and including that snapshot. An unknown table is an
@@ -167,10 +179,12 @@ mod tests {
     fn commit_stamps_are_contiguous_and_from_the_commit() {
         let mut db = engine();
         assert_eq!(db.current_snapshot(), 0);
-        let c1 = db.commit_batch("protein", vec![row(1), row(2)]).unwrap();
+        let c1 = db
+            .commit_batch("protein", vec![row(1), row(2)], None)
+            .unwrap();
         assert_eq!((c1.pre_snapshot, c1.post_snapshot), (0, 1));
         assert!(c1.appended());
-        let c2 = db.commit_batch("protein", vec![row(3)]).unwrap();
+        let c2 = db.commit_batch("protein", vec![row(3)], None).unwrap();
         assert_eq!((c2.pre_snapshot, c2.post_snapshot), (1, 2));
         assert_eq!(db.current_snapshot(), 2);
     }
@@ -178,13 +192,15 @@ mod tests {
     #[test]
     fn empty_and_failed_batches_leave_the_snapshot_alone() {
         let mut db = engine();
-        db.commit_batch("protein", vec![row(1)]).unwrap();
-        let empty = db.commit_batch("protein", Vec::new()).unwrap();
+        db.commit_batch("protein", vec![row(1)], None).unwrap();
+        let empty = db.commit_batch("protein", Vec::new(), None).unwrap();
         assert_eq!((empty.pre_snapshot, empty.post_snapshot), (1, 1));
         assert!(!empty.appended());
         assert!(empty.delta.appended.is_empty());
         // Duplicate key: the whole batch is rejected, snapshot untouched.
-        assert!(db.commit_batch("protein", vec![row(2), row(1)]).is_err());
+        assert!(db
+            .commit_batch("protein", vec![row(2), row(1)], None)
+            .is_err());
         assert_eq!(db.current_snapshot(), 1);
         assert_eq!(db.visible_rows("protein", 1).len(), 1);
     }
@@ -192,9 +208,11 @@ mod tests {
     #[test]
     fn visible_rows_are_a_snapshot_prefix() {
         let mut db = engine();
-        db.commit_batch("protein", vec![row(1), row(2)]).unwrap();
-        db.commit_batch("protein", vec![row(3)]).unwrap();
-        db.commit_batch("protein", vec![row(4), row(5)]).unwrap();
+        db.commit_batch("protein", vec![row(1), row(2)], None)
+            .unwrap();
+        db.commit_batch("protein", vec![row(3)], None).unwrap();
+        db.commit_batch("protein", vec![row(4), row(5)], None)
+            .unwrap();
         assert_eq!(db.visible_rows("protein", 0).len(), 0);
         assert_eq!(db.visible_rows("protein", 1).len(), 2);
         assert_eq!(db.visible_rows("protein", 2).len(), 3);
@@ -208,13 +226,13 @@ mod tests {
     #[test]
     fn snapshot_pins_are_counted_and_survive_commits() {
         let mut db = engine();
-        db.commit_batch("protein", vec![row(1)]).unwrap();
+        db.commit_batch("protein", vec![row(1)], None).unwrap();
         assert_eq!(db.snapshots_active(), 0);
         let snap = db.begin_snapshot();
         assert_eq!(snap.id(), 1);
         let again = snap.clone();
         assert_eq!(db.snapshots_active(), 2);
-        db.commit_batch("protein", vec![row(2)]).unwrap();
+        db.commit_batch("protein", vec![row(2)], None).unwrap();
         // The pinned snapshot still answers with its stable prefix.
         assert_eq!(db.visible_rows("protein", snap.id()).len(), 1);
         assert_eq!(db.visible_rows("protein", db.current_snapshot()).len(), 2);

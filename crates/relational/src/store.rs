@@ -3,6 +3,7 @@
 use crate::error::RelError;
 use crate::schema::{DataType, RelSchema, RelTable};
 use crate::storage::{BatchCommit, Snapshot, SnapshotId, StorageEngine};
+use crate::wal::CommitLog;
 use iql::value::{Bag, Value};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -269,86 +270,7 @@ impl Database {
         table: &str,
         rows: Vec<Row>,
     ) -> Result<TableDelta, RelError> {
-        self.commit_batch_inner(table, rows).map(|c| c.delta)
-    }
-
-    /// The commit path shared by [`Database::insert_many_with_delta`] and the
-    /// [`StorageEngine`] impl: validate the whole batch, apply it, stamp every
-    /// appended row with the new snapshot id, and report the pre/post snapshot
-    /// pair **from inside the critical section** (`&mut self` spans the whole
-    /// commit, so no concurrent writer can move the stamp between the
-    /// pre-read and the apply).
-    fn commit_batch_inner(&mut self, table: &str, rows: Vec<Row>) -> Result<BatchCommit, RelError> {
-        let pre_snapshot = self.version.load(Ordering::Acquire);
-        let t = self
-            .schema
-            .table(table)
-            .ok_or_else(|| RelError::UnknownTable(table.to_string()))?;
-        let mut delta = TableDelta::new(table);
-        if rows.is_empty() {
-            return Ok(BatchCommit {
-                delta,
-                pre_snapshot,
-                post_snapshot: pre_snapshot,
-            });
-        }
-        // Validate the whole batch before mutating anything (all-or-nothing).
-        for row in &rows {
-            if row.len() != t.columns.len() {
-                return Err(RelError::ArityMismatch {
-                    table: table.to_string(),
-                    expected: t.columns.len(),
-                    found: row.len(),
-                });
-            }
-            for (col, val) in t.columns.iter().zip(row.iter()) {
-                check_type(t, col.name.as_str(), col.data_type, col.nullable, val)?;
-            }
-        }
-        if !t.primary_key.is_empty() {
-            // The persistent key set makes the uniqueness check O(batch): it
-            // seeds from the existing rows once per table (first keyed insert)
-            // and is maintained incrementally forever after — the store is
-            // append-only, so it never goes stale. The batch validates against
-            // a side set first so a mid-batch duplicate leaves it untouched.
-            let seen = self.pk_index.entry(table.to_string()).or_insert_with(|| {
-                self.rows
-                    .get(table)
-                    .map(|existing| existing.iter().map(|r| key_of(t, r)).collect())
-                    .unwrap_or_default()
-            });
-            let mut fresh: HashSet<Value> = HashSet::with_capacity(rows.len());
-            for row in &rows {
-                let key = key_of(t, row);
-                if seen.contains(&key) || !fresh.insert(key.clone()) {
-                    return Err(RelError::DuplicateKey {
-                        table: table.to_string(),
-                        key: format!("{key:?}"),
-                    });
-                }
-            }
-            seen.extend(fresh);
-        }
-        // One cache-delta round and one snapshot advance for the whole batch.
-        let mut cache_deltas = Vec::new();
-        for row in &rows {
-            cache_deltas.extend(self.extent_deltas(t, row));
-            delta.push_row(t, row);
-        }
-        let post_snapshot = pre_snapshot + 1;
-        let appended = rows.len();
-        self.rows.entry(table.to_string()).or_default().extend(rows);
-        self.row_stamps
-            .entry(table.to_string())
-            .or_default()
-            .extend(std::iter::repeat_n(post_snapshot, appended));
-        self.apply_extent_deltas(cache_deltas);
-        self.version.store(post_snapshot, Ordering::Release);
-        Ok(BatchCommit {
-            delta,
-            pre_snapshot,
-            post_snapshot,
-        })
+        self.commit_batch(table, rows, None).map(|c| c.delta)
     }
 
     /// All rows of a table (empty if the table has no rows or does not exist).
@@ -423,8 +345,98 @@ impl StorageEngine for Database {
         self.active_snapshots.load(Ordering::Acquire)
     }
 
-    fn commit_batch(&mut self, table: &str, rows: Vec<Row>) -> Result<BatchCommit, RelError> {
-        self.commit_batch_inner(table, rows)
+    /// The commit path every insert takes: validate the whole batch, append
+    /// it to `log` (write-ahead: nothing in memory has changed yet, so a
+    /// failed append leaves no trace), apply it, stamp every appended row with
+    /// the new snapshot id, and report the pre/post snapshot pair **from
+    /// inside the critical section** (`&mut self` spans the whole commit, so
+    /// no concurrent writer can move the stamp between the pre-read and the
+    /// apply).
+    fn commit_batch(
+        &mut self,
+        table: &str,
+        rows: Vec<Row>,
+        log: Option<&mut CommitLog>,
+    ) -> Result<BatchCommit, RelError> {
+        let pre_snapshot = self.version.load(Ordering::Acquire);
+        let t = self
+            .schema
+            .table(table)
+            .ok_or_else(|| RelError::UnknownTable(table.to_string()))?;
+        let mut delta = TableDelta::new(table);
+        if rows.is_empty() {
+            return Ok(BatchCommit {
+                delta,
+                pre_snapshot,
+                post_snapshot: pre_snapshot,
+            });
+        }
+        // Validate the whole batch before mutating anything (all-or-nothing).
+        for row in &rows {
+            if row.len() != t.columns.len() {
+                return Err(RelError::ArityMismatch {
+                    table: table.to_string(),
+                    expected: t.columns.len(),
+                    found: row.len(),
+                });
+            }
+            for (col, val) in t.columns.iter().zip(row.iter()) {
+                check_type(t, col.name.as_str(), col.data_type, col.nullable, val)?;
+            }
+        }
+        // The persistent key set makes the uniqueness check O(batch): it
+        // seeds from the existing rows once per table (first keyed insert)
+        // and is maintained incrementally forever after — the store is
+        // append-only, so it never goes stale. The batch validates against a
+        // side set, merged only once the batch is durable.
+        let mut fresh: HashSet<Value> = HashSet::new();
+        if !t.primary_key.is_empty() {
+            let seen = self.pk_index.entry(table.to_string()).or_insert_with(|| {
+                self.rows
+                    .get(table)
+                    .map(|existing| existing.iter().map(|r| key_of(t, r)).collect())
+                    .unwrap_or_default()
+            });
+            fresh.reserve(rows.len());
+            for row in &rows {
+                let key = key_of(t, row);
+                if seen.contains(&key) || !fresh.insert(key.clone()) {
+                    return Err(RelError::DuplicateKey {
+                        table: table.to_string(),
+                        key: format!("{key:?}"),
+                    });
+                }
+            }
+        }
+        let post_snapshot = pre_snapshot + 1;
+        if let Some(log) = log {
+            log.append_batch(post_snapshot, &self.schema.name, table, &rows)?;
+        }
+        if !fresh.is_empty() {
+            self.pk_index
+                .get_mut(table)
+                .expect("seeded by validation")
+                .extend(fresh);
+        }
+        // One cache-delta round and one snapshot advance for the whole batch.
+        let mut cache_deltas = Vec::new();
+        for row in &rows {
+            cache_deltas.extend(self.extent_deltas(t, row));
+            delta.push_row(t, row);
+        }
+        let appended = rows.len();
+        self.rows.entry(table.to_string()).or_default().extend(rows);
+        self.row_stamps
+            .entry(table.to_string())
+            .or_default()
+            .extend(std::iter::repeat_n(post_snapshot, appended));
+        self.apply_extent_deltas(cache_deltas);
+        self.version.store(post_snapshot, Ordering::Release);
+        Ok(BatchCommit {
+            delta,
+            pre_snapshot,
+            post_snapshot,
+        })
     }
 
     /// The stable prefix of `table` visible at `snapshot`. Stamps are

@@ -15,24 +15,28 @@
 //! [8-byte magic "DSWAL\0\0\x01"]
 //! [record]*
 //!
-//! record  := [u32 LE payload length] [u32 LE FNV-1a checksum of payload] [payload]
-//! payload := [u64 LE snapshot id] [str source] [str table]
-//!            [u32 LE row count] ([u32 LE column count] [value]*)*
-//! str     := [u32 LE byte length] [UTF-8 bytes]
-//! value   := 0x00                        -- Null
-//!          | 0x01 [u8 0|1]               -- Bool
-//!          | 0x02 [i64 LE]               -- Int
-//!          | 0x03 [u64 LE float bits]    -- Float
-//!          | 0x04 [str]                  -- Str
+//! record  := envelope(payload)
+//! payload := [u64 LE snapshot id] [str source] [str table] [rows]
 //! ```
 //!
-//! Rows hold scalars only (the schema type checker admits nothing else), so
-//! five value tags cover every storable value. Recovery reads records until
-//! the first torn or corrupt one — a partial length/checksum/payload at the
-//! tail is the signature of a crash mid-append — **truncates** the file back
-//! to the last whole record, and reports how many bytes were dropped. A
-//! corrupt record therefore never poisons the log: everything durably
-//! committed before it survives.
+//! The envelope (length, FNV-1a checksum, payload), `str`, `rows` and the
+//! value tags are [`iql::codec`]'s — the same bytes the wire protocol uses.
+//! Rows hold scalars only (the schema type checker admits nothing else).
+//! Recovery reads records until the first torn or corrupt one — a partial
+//! envelope at the tail is the signature of a crash mid-append — **truncates**
+//! the file back to the last whole record, and reports how many bytes were
+//! dropped. A corrupt record costs only itself and what follows it:
+//! everything durably committed before it survives.
+//!
+//! ## Write-ahead
+//!
+//! [`crate::storage::StorageEngine::commit_batch`] appends a batch's record
+//! after validating the batch and before applying it, so a batch is visible
+//! only once it is in the log. A failed append (write or sync error)
+//! **poisons** the log: the write may have left a torn record mid-file, and
+//! recovery truncates at the first bad record, so any record appended after
+//! it would be silently dropped on restart. A poisoned log refuses every
+//! later append with [`RelError::LogPoisoned`] until it is reopened.
 //!
 //! Durability is a knob: with `fsync` on, every append runs `File::sync_data`
 //! before returning (a crash loses nothing acknowledged); with it off the OS
@@ -41,16 +45,22 @@
 //! the log as one merged record per (source, table) — same replayed state,
 //! bounded file size — via a temp file + atomic rename.
 
+use crate::error::RelError;
+use crate::storage::SnapshotId;
 use crate::store::Row;
-use iql::value::Value;
+use iql::codec::{self, get_rows, get_str, get_u64, put_rows, put_str, put_u64, CodecError};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::storage::SnapshotId;
-
 /// The 8-byte file magic: identifies a dataspace commit log, format version 1.
 const MAGIC: [u8; 8] = *b"DSWAL\0\0\x01";
+
+/// The longest record payload recovery accepts: anything the envelope's
+/// length can declare. A record is as large as its batch — a compacted table
+/// can outgrow any frame cap — and a torn length is caught by the missing
+/// bytes or the checksum, not by a cap.
+const MAX_RECORD_BYTES: usize = u32::MAX as usize;
 
 /// One committed write batch, as recorded in the log.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,6 +103,8 @@ pub struct CommitLog {
     path: PathBuf,
     fsync: bool,
     appends: u64,
+    /// Set by a failed append; see the module docs.
+    poisoned: bool,
 }
 
 impl CommitLog {
@@ -107,40 +119,21 @@ impl CommitLog {
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        if bytes.is_empty() {
             file.write_all(&MAGIC)?;
             file.sync_data()?;
-            return Ok(RecoveredLog {
-                log: CommitLog {
-                    file,
-                    path,
-                    fsync,
-                    appends: 0,
-                },
-                records: Vec::new(),
-                truncated_bytes: 0,
-            });
+            bytes.extend_from_slice(&MAGIC);
         }
-        let mut bytes = Vec::with_capacity(len as usize);
-        file.seek(SeekFrom::Start(0))?;
-        file.read_to_end(&mut bytes)?;
-        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
+        if !bytes.starts_with(&MAGIC) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: not a dataspace commit log (bad magic)", path.display()),
             ));
         }
-        let mut records = Vec::new();
-        let mut good_end = MAGIC.len();
-        let mut cursor = MAGIC.len();
-        // Read whole records until the first torn or corrupt one; everything
-        // after that point is a crash artefact and gets truncated away.
-        while let Some((record, next)) = read_record(&bytes, cursor) {
-            records.push(record);
-            good_end = next;
-            cursor = next;
-        }
+        // Everything after the last whole record is a crash artefact.
+        let (records, good_end) = read_records(&bytes);
         let truncated_bytes = (bytes.len() - good_end) as u64;
         if truncated_bytes > 0 {
             file.set_len(good_end as u64)?;
@@ -153,6 +146,7 @@ impl CommitLog {
                 path,
                 fsync,
                 appends: 0,
+                poisoned: false,
             },
             records,
             truncated_bytes,
@@ -175,17 +169,45 @@ impl CommitLog {
     }
 
     /// Append one committed batch to the log.
-    pub fn append(&mut self, record: &LogRecord) -> io::Result<()> {
-        let payload = encode_payload(record)?;
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        self.file.write_all(&framed)?;
-        if self.fsync {
-            self.file.sync_data()?;
+    pub fn append(&mut self, record: &LogRecord) -> Result<(), RelError> {
+        self.append_batch(record.snapshot, &record.source, &record.table, &record.rows)
+    }
+
+    /// Append one batch's record, borrowing its rows — the write-ahead step
+    /// of [`crate::storage::StorageEngine::commit_batch`]. Any failure
+    /// poisons the log.
+    pub(crate) fn append_batch(
+        &mut self,
+        snapshot: SnapshotId,
+        source: &str,
+        table: &str,
+        rows: &[Row],
+    ) -> Result<(), RelError> {
+        if self.poisoned {
+            return Err(RelError::LogPoisoned);
+        }
+        let record = seal_record(snapshot, source, table, rows);
+        let written = self.file.write_all(&record).and_then(|()| {
+            if self.fsync {
+                self.file.sync_data()
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(e) = written {
+            self.poisoned = true;
+            return Err(RelError::LogAppend(e.to_string()));
         }
         self.appends += 1;
+        Ok(())
+    }
+
+    /// Test hook: send later appends to `target` instead of the log file — on
+    /// Linux, `/dev/full` makes every write fail with `ENOSPC`. Leaves the
+    /// poisoned flag alone.
+    #[doc(hidden)]
+    pub fn redirect_writes(&mut self, target: impl AsRef<Path>) -> io::Result<()> {
+        self.file = OpenOptions::new().append(true).open(target)?;
         Ok(())
     }
 
@@ -197,13 +219,7 @@ impl CommitLog {
         let mut bytes = Vec::new();
         self.file.read_to_end(&mut bytes)?;
         self.file.seek(SeekFrom::Start(end))?;
-        let mut records = Vec::new();
-        let mut cursor = MAGIC.len();
-        while let Some((record, next)) = read_record(&bytes, cursor) {
-            records.push(record);
-            cursor = next;
-        }
-        Ok(records)
+        Ok(read_records(&bytes).0)
     }
 
     /// Compact the log: merge its records into one record per (source, table)
@@ -237,20 +253,13 @@ impl CommitLog {
             .truncate(true)
             .open(&tmp_path)?;
         tmp.write_all(&MAGIC)?;
-        let mut replacement = CommitLog {
-            file: tmp,
-            path: self.path.clone(),
-            fsync: false,
-            appends: 0,
-        };
-        for record in &merged {
-            replacement.append(record)?;
+        for m in &merged {
+            tmp.write_all(&seal_record(m.snapshot, &m.source, &m.table, &m.rows))?;
         }
-        replacement.file.sync_data()?;
+        tmp.sync_data()?;
         std::fs::rename(&tmp_path, &self.path)?;
-        // Swap the handle to the new file, positioned at its end for appends.
-        replacement.file.seek(SeekFrom::End(0))?;
-        self.file = replacement.file;
+        // The handle now points at the new file, positioned at its end.
+        self.file = tmp;
         Ok(CompactionReport {
             records_before,
             records_after: merged.len(),
@@ -258,150 +267,50 @@ impl CommitLog {
     }
 }
 
-/// 32-bit FNV-1a over the payload: tiny, dependency-free, and plenty to catch
-/// torn writes and bit rot (this is corruption *detection* for recovery, not
-/// an adversarial integrity check).
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
-fn encode_payload(record: &LogRecord) -> io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&record.snapshot.to_le_bytes());
-    encode_str(&mut out, &record.source);
-    encode_str(&mut out, &record.table);
-    out.extend_from_slice(&(record.rows.len() as u32).to_le_bytes());
-    for row in &record.rows {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for value in row {
-            encode_value(&mut out, value)?;
-        }
-    }
-    Ok(out)
-}
-
-fn encode_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn encode_value(out: &mut Vec<u8>, value: &Value) -> io::Result<()> {
-    match value {
-        Value::Null => out.push(0x00),
-        Value::Bool(b) => {
-            out.push(0x01);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(0x02);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(0x03);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(0x04);
-            encode_str(out, s);
-        }
-        other => {
-            // Unreachable through the insert path: the schema type checker
-            // admits scalars only. Refuse rather than invent an encoding.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("commit log cannot encode non-scalar value {other:?}"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Decode the record framed at `offset`. `None` means the tail from `offset`
-/// on is not one whole, checksummed, well-formed record — i.e. the torn/corrupt
-/// boundary recovery truncates at.
-fn read_record(bytes: &[u8], offset: usize) -> Option<(LogRecord, usize)> {
-    if offset == bytes.len() {
-        return None; // clean end
-    }
-    let header = bytes.get(offset..offset + 8)?;
-    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
-    let checksum = u32::from_le_bytes(header[4..8].try_into().ok()?);
-    let payload = bytes.get(offset + 8..offset + 8 + len)?;
-    if fnv1a(payload) != checksum {
-        return None;
-    }
-    let record = decode_payload(payload)?;
-    Some((record, offset + 8 + len))
-}
-
-fn decode_payload(payload: &[u8]) -> Option<LogRecord> {
-    let mut cursor = 0usize;
-    let snapshot = u64::from_le_bytes(take(payload, &mut cursor, 8)?.try_into().ok()?);
-    let source = decode_str(payload, &mut cursor)?;
-    let table = decode_str(payload, &mut cursor)?;
-    let row_count = decode_u32(payload, &mut cursor)? as usize;
-    let mut rows = Vec::with_capacity(row_count.min(payload.len()));
-    for _ in 0..row_count {
-        let arity = decode_u32(payload, &mut cursor)? as usize;
-        let mut row = Vec::with_capacity(arity.min(payload.len()));
-        for _ in 0..arity {
-            row.push(decode_value(payload, &mut cursor)?);
-        }
-        rows.push(row);
-    }
-    if cursor != payload.len() {
-        return None; // trailing garbage inside a "valid" frame
-    }
-    Some(LogRecord {
-        snapshot,
-        source,
-        table,
-        rows,
+/// One record's envelope, ready for a single `write_all`.
+fn seal_record(snapshot: SnapshotId, source: &str, table: &str, rows: &[Row]) -> Vec<u8> {
+    // Exact for numeric columns; strings grow the buffer as they go.
+    let hint =
+        20 + source.len() + table.len() + rows.iter().map(|r| 4 + 9 * r.len()).sum::<usize>();
+    codec::seal(hint, |out| {
+        put_u64(out, snapshot);
+        put_str(out, source);
+        put_str(out, table);
+        put_rows(out, rows);
     })
 }
 
-fn take<'a>(payload: &'a [u8], cursor: &mut usize, n: usize) -> Option<&'a [u8]> {
-    let slice = payload.get(*cursor..*cursor + n)?;
-    *cursor += n;
-    Some(slice)
+/// The whole records of a log image (magic included) in order, and the
+/// offset where the first torn or corrupt one — or the clean end — begins.
+fn read_records(bytes: &[u8]) -> (Vec<LogRecord>, usize) {
+    let mut records = Vec::new();
+    let mut end = MAGIC.len();
+    while let Ok(Some((payload, consumed))) = codec::open(&bytes[end..], MAX_RECORD_BYTES) {
+        let Ok(record) = decode_record(payload) else {
+            break; // well-framed but undecodable: corrupt all the same
+        };
+        records.push(record);
+        end += consumed;
+    }
+    (records, end)
 }
 
-fn decode_u32(payload: &[u8], cursor: &mut usize) -> Option<u32> {
-    Some(u32::from_le_bytes(
-        take(payload, cursor, 4)?.try_into().ok()?,
-    ))
-}
-
-fn decode_str(payload: &[u8], cursor: &mut usize) -> Option<String> {
-    let len = decode_u32(payload, cursor)? as usize;
-    let bytes = take(payload, cursor, len)?;
-    String::from_utf8(bytes.to_vec()).ok()
-}
-
-fn decode_value(payload: &[u8], cursor: &mut usize) -> Option<Value> {
-    let tag = take(payload, cursor, 1)?[0];
-    Some(match tag {
-        0x00 => Value::Null,
-        0x01 => Value::Bool(take(payload, cursor, 1)?[0] != 0),
-        0x02 => Value::Int(i64::from_le_bytes(
-            take(payload, cursor, 8)?.try_into().ok()?,
-        )),
-        0x03 => Value::Float(f64::from_bits(u64::from_le_bytes(
-            take(payload, cursor, 8)?.try_into().ok()?,
-        ))),
-        0x04 => Value::Str(decode_str(payload, cursor)?.into()),
-        _ => return None,
-    })
+fn decode_record(payload: &[u8]) -> Result<LogRecord, CodecError> {
+    let mut c = codec::Cursor::new(payload);
+    let record = LogRecord {
+        snapshot: get_u64(&mut c)?,
+        source: get_str(&mut c)?,
+        table: get_str(&mut c)?,
+        rows: get_rows(&mut c)?,
+    };
+    c.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iql::value::Value;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A unique temp path per test (no tempfile crate in the offline build).
@@ -569,6 +478,119 @@ mod tests {
         std::fs::write(&path, b"definitely not a commit log").unwrap();
         let err = CommitLog::open(&path, false).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A v1 log assembled byte by byte from the grammar in the module docs —
+    /// one record, every scalar tag — as a log written before the shared
+    /// codec existed. It replays, and appending its record writes exactly
+    /// these bytes again.
+    #[test]
+    fn v1_golden_bytes_replay_and_are_rewritten_identically() {
+        #[rustfmt::skip]
+        let payload: &[u8] = &[
+            7, 0, 0, 0, 0, 0, 0, 0,                         // snapshot id 7
+            5, 0, 0, 0, b'p', b'e', b'd', b'r', b'o',        // source
+            7, 0, 0, 0, b'p', b'r', b'o', b't', b'e', b'i', b'n', // table
+            1, 0, 0, 0,                                     // one row
+            5, 0, 0, 0,                                     // of five columns
+            0x00,                                           // Null
+            0x01, 1,                                        // Bool true
+            0x02, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Int -2
+            0x03, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f,             // Float 1.5
+            0x04, 2, 0, 0, 0, 0xc3, 0xa9,                   // Str "é"
+        ];
+        let mut golden = b"DSWAL\0\0\x01".to_vec();
+        golden.extend_from_slice(&64u32.to_le_bytes());
+        golden.extend_from_slice(&0x96c7_4168u32.to_le_bytes());
+        golden.extend_from_slice(payload);
+        let expected = LogRecord {
+            snapshot: 7,
+            source: "pedro".into(),
+            table: "protein".into(),
+            rows: vec![vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::Int(-2),
+                Value::Float(1.5),
+                Value::str("é"),
+            ]],
+        };
+
+        let path = temp_log("golden");
+        std::fs::write(&path, &golden).unwrap();
+        let replayed = CommitLog::open(&path, false).unwrap();
+        assert_eq!(replayed.records, vec![expected.clone()]);
+        assert_eq!(replayed.truncated_bytes, 0);
+        drop(replayed);
+
+        std::fs::remove_file(&path).unwrap();
+        let mut log = CommitLog::open(&path, false).unwrap().log;
+        log.append(&expected).unwrap();
+        drop(log);
+        assert_eq!(std::fs::read(&path).unwrap(), golden);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A compacted table can outgrow the wire's 16 MiB frame cap; the log's
+    /// envelope must not inherit that cap, or recovery would truncate the
+    /// whole table away.
+    #[test]
+    fn a_record_bigger_than_a_wire_frame_survives_reopen() {
+        const WIRE_FRAME_CAP: u64 = 16 * 1024 * 1024;
+        let path = temp_log("big");
+        let text = Value::str("x".repeat(64 * 1024));
+        let batch = |first: i64| LogRecord {
+            snapshot: first as u64,
+            source: "pedro".into(),
+            table: "protein".into(),
+            rows: (first..first + 100)
+                .map(|i| vec![Value::Int(i), text.clone()])
+                .collect(),
+        };
+        let mut log = CommitLog::open(&path, false).unwrap().log;
+        for first in [0, 100, 200] {
+            log.append(&batch(first)).unwrap();
+        }
+        log.compact().unwrap();
+        drop(log);
+        assert!(std::fs::metadata(&path).unwrap().len() > WIRE_FRAME_CAP);
+        let reopened = CommitLog::open(&path, false).unwrap();
+        assert_eq!(reopened.truncated_bytes, 0);
+        assert_eq!(reopened.records.len(), 1);
+        assert_eq!(reopened.records[0].rows.len(), 300);
+        drop(reopened);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A failed append poisons the log: later appends are refused without
+    /// touching the file, until the log is reopened. Linux only: `/dev/full`
+    /// fails every write.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_poisons_the_log_until_it_is_reopened() {
+        let path = temp_log("poison");
+        let mut log = CommitLog::open(&path, false).unwrap().log;
+        log.append(&record(1, "protein", &[1])).unwrap();
+        log.redirect_writes("/dev/full").unwrap();
+        assert!(matches!(
+            log.append(&record(2, "protein", &[2])),
+            Err(RelError::LogAppend(_))
+        ));
+        // Writes would reach the log file again, but the log refuses them.
+        log.redirect_writes(&path).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(
+            log.append(&record(2, "protein", &[2])),
+            Err(RelError::LogPoisoned)
+        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        assert_eq!(log.appends(), 1);
+        drop(log);
+
+        let mut reopened = CommitLog::open(&path, false).unwrap();
+        assert_eq!(reopened.records.len(), 1);
+        reopened.log.append(&record(2, "protein", &[2])).unwrap();
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,14 +1,12 @@
-//! Frame layer: length-prefixed, checksummed envelopes on a byte stream.
+//! Frame layer: [`iql::codec`] envelopes on a byte stream.
 //!
 //! Every message on the wire — request, response or server push — travels in
-//! one frame, reusing the commit log's record-framing discipline
-//! (`relational::wal`): a little-endian length, a FNV-1a checksum over the
-//! payload, then the payload itself. The payload opens with a protocol
-//! version byte, the request id the frame belongs to, and the opcode that
-//! selects the body's shape:
+//! one frame: an envelope (length, FNV-1a checksum, payload; see
+//! [`iql::codec`]) whose payload opens with a protocol version byte, the
+//! request id the frame belongs to, and the opcode that selects the body's
+//! shape:
 //!
 //! ```text
-//! frame   := [u32 LE payload length] [u32 LE FNV-1a checksum of payload] [payload]
 //! payload := [u8 version = 1] [u64 LE request id] [u8 opcode] [body]
 //! ```
 //!
@@ -20,12 +18,13 @@
 //! admission rejection before any request was read).
 //!
 //! A frame whose declared length exceeds [`MAX_FRAME_BYTES`] is rejected
-//! without buffering it (the length is read before the payload, so a hostile
-//! 4 GiB declaration costs 8 bytes, not 4 GiB). A checksum mismatch or a
-//! malformed payload head means the stream has lost framing — the peer closes
-//! the connection, because no later byte boundary can be trusted.
+//! without buffering it. A checksum mismatch or a malformed payload head
+//! means the stream has lost framing — the peer closes the connection,
+//! because no later byte boundary can be trusted.
 
 use std::io::{self, Read, Write};
+
+use crate::codec::{self, EnvelopeError};
 
 /// Protocol version carried in every payload head.
 pub const WIRE_VERSION: u8 = 1;
@@ -35,9 +34,6 @@ pub const WIRE_VERSION: u8 = 1;
 /// `server::ServerConfig::chunk_rows`), so the cap only stops hostile or
 /// corrupt length declarations from driving allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
-
-/// Frame header size on the wire: length + checksum.
-const FRAME_HEADER: usize = 8;
 
 /// Payload head size: version byte + request id + opcode.
 const PAYLOAD_HEAD: usize = 1 + 8 + 1;
@@ -96,28 +92,23 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// 32-bit FNV-1a — the same corruption check the commit log uses.
-pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
+impl From<EnvelopeError> for FrameError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::TooLarge { declared } => FrameError::TooLarge { declared },
+            EnvelopeError::Checksum => FrameError::Malformed(e.to_string()),
+        }
     }
-    hash
 }
 
 /// Encode one frame ready for a single `write_all`.
 pub fn encode_frame(request_id: u64, opcode: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAYLOAD_HEAD + body.len());
-    payload.push(WIRE_VERSION);
-    payload.extend_from_slice(&request_id.to_le_bytes());
-    payload.push(opcode);
-    payload.extend_from_slice(body);
-    let mut framed = Vec::with_capacity(FRAME_HEADER + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    framed.extend_from_slice(&payload);
-    framed
+    codec::seal(PAYLOAD_HEAD + body.len(), |out| {
+        out.push(WIRE_VERSION);
+        out.extend_from_slice(&request_id.to_le_bytes());
+        out.push(opcode);
+        out.extend_from_slice(body);
+    })
 }
 
 /// Write one frame to `w`, returning the bytes put on the wire.
@@ -196,25 +187,14 @@ impl FrameReader {
 
     /// Decode one frame from the front of the buffer, if a whole one is there.
     fn try_decode(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < FRAME_HEADER {
+        let Some((payload, consumed)) = codec::open(&self.buf, MAX_FRAME_BYTES)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(FrameError::TooLarge { declared: len });
-        }
-        if len < PAYLOAD_HEAD {
+        };
+        if payload.len() < PAYLOAD_HEAD {
             return Err(FrameError::Malformed(format!(
-                "declared payload of {len} bytes is shorter than the {PAYLOAD_HEAD}-byte head"
+                "declared payload of {} bytes is shorter than the {PAYLOAD_HEAD}-byte head",
+                payload.len()
             )));
-        }
-        if self.buf.len() < FRAME_HEADER + len {
-            return Ok(None);
-        }
-        let checksum = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes"));
-        let payload = &self.buf[FRAME_HEADER..FRAME_HEADER + len];
-        if fnv1a(payload) != checksum {
-            return Err(FrameError::Malformed("payload checksum mismatch".into()));
         }
         let version = payload[0];
         if version != WIRE_VERSION {
@@ -223,8 +203,8 @@ impl FrameReader {
         let request_id = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
         let opcode = payload[9];
         let body = payload[PAYLOAD_HEAD..].to_vec();
-        self.buf.drain(..FRAME_HEADER + len);
-        self.bytes_in += (FRAME_HEADER + len) as u64;
+        self.buf.drain(..consumed);
+        self.bytes_in += consumed as u64;
         Ok(Some(Frame {
             request_id,
             opcode,
@@ -236,6 +216,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fnv1a;
 
     /// Feed `bytes` to a reader in `chunk`-sized slices, collecting frames.
     fn drip(bytes: &[u8], chunk: usize) -> Result<Vec<Frame>, FrameError> {

@@ -2,12 +2,13 @@
 //!
 //! Three layers, bottom-up:
 //!
-//! - [`frame`] — length-prefixed, FNV-1a-checksummed envelopes on a byte
-//!   stream, reusing the commit log's record-framing discipline. Carries the
-//!   protocol version, the client-assigned request id, and an opcode.
-//! - [`codec`] — bounds-checked body encoding for primitives, [`iql::Value`]
-//!   trees and parameter bindings. Malformed input yields typed errors,
-//!   never panics.
+//! - [`frame`] — [`iql::codec`] envelopes on a byte stream, capped at
+//!   [`MAX_FRAME_BYTES`], whose payload carries the protocol version, the
+//!   client-assigned request id, and an opcode.
+//! - [`codec`] — a re-export of [`iql::codec`], the byte format the wire
+//!   shares with the commit log: bounds-checked encoding for primitives,
+//!   [`iql::Value`] trees and parameter bindings. Malformed input yields
+//!   typed errors, never panics.
 //! - [`proto`] — the typed [`proto::Request`]/[`proto::Response`] surface:
 //!   prepared-statement lifecycle, chunked result streaming with client-acked
 //!   backpressure, standing subscriptions with server-push deltas, writes,
@@ -18,7 +19,6 @@
 //! server side lives in the `server` crate.
 
 pub mod client;
-pub mod codec;
 pub mod frame;
 pub mod proto;
 
@@ -27,4 +27,5 @@ pub use frame::{
     encode_frame, write_frame, Frame, FrameError, FrameReader, MAX_FRAME_BYTES, SERVER_ORIGIN_ID,
     WIRE_VERSION,
 };
+pub use iql::codec;
 pub use proto::{ErrorCode, PushUpdate, ReqOp, Request, RespOp, Response};

@@ -10,8 +10,8 @@
 //! [`Response::Push`]), writes (`Insert`), and admin (`Checkpoint`/`Stats`).
 
 use crate::codec::{
-    get_params, get_str, get_u32, get_u64, get_u8, get_value, get_values, put_params, put_str,
-    put_u32, put_u64, put_u8, put_value, put_values, CodecError, Cursor,
+    get_params, get_rows, get_str, get_u32, get_u64, get_u8, get_value, get_values, put_params,
+    put_rows, put_str, put_u32, put_u64, put_u8, put_value, put_values, CodecError, Cursor,
 };
 use iql::value::Value;
 use iql::Params;
@@ -294,10 +294,7 @@ impl Request {
             } => {
                 put_str(&mut out, source);
                 put_str(&mut out, table);
-                put_u32(&mut out, rows.len() as u32);
-                for row in rows {
-                    put_values(&mut out, row);
-                }
+                put_rows(&mut out, rows);
             }
             Request::Checkpoint | Request::Stats | Request::Close => {}
         }
@@ -348,25 +345,11 @@ impl Request {
             ReqOp::Unsubscribe => Request::Unsubscribe {
                 sub_id: get_u64(&mut c)?,
             },
-            ReqOp::Insert => {
-                let source = get_str(&mut c)?;
-                let table = get_str(&mut c)?;
-                let count = get_u32(&mut c)? as usize;
-                if count > c.remaining() {
-                    return Err(CodecError(format!(
-                        "row count {count} exceeds the remaining body"
-                    )));
-                }
-                let mut rows = Vec::with_capacity(count);
-                for _ in 0..count {
-                    rows.push(get_values(&mut c)?);
-                }
-                Request::Insert {
-                    source,
-                    table,
-                    rows,
-                }
-            }
+            ReqOp::Insert => Request::Insert {
+                source: get_str(&mut c)?,
+                table: get_str(&mut c)?,
+                rows: get_rows(&mut c)?,
+            },
             ReqOp::Checkpoint => Request::Checkpoint,
             ReqOp::Stats => Request::Stats,
             ReqOp::Close => Request::Close,

@@ -185,6 +185,60 @@ fn unknown_opcode_and_malformed_body_answer_typed_errors_and_keep_the_session() 
     handle.shutdown();
 }
 
+/// 20 000 nested one-element tuples around a `Null` — a 100 KB value, far
+/// under the frame cap. Decoding it recursively used to overflow a session
+/// thread's stack, which aborts the whole server (no panic handler can catch
+/// a stack overflow); the codec's depth budget answers a typed error instead.
+#[test]
+fn deeply_nested_values_answer_typed_errors_and_keep_the_session() {
+    use wire::codec::{put_str, put_u32, put_u64};
+    let mut deep = [0x05, 1, 0, 0, 0].repeat(20_000);
+    deep.push(0x00);
+
+    let mut insert = Vec::new();
+    put_str(&mut insert, "alpha");
+    put_str(&mut insert, "t");
+    put_u32(&mut insert, 1); // one row
+    put_u32(&mut insert, 1); // of one value
+    insert.extend_from_slice(&deep);
+    let mut execute = Vec::new();
+    put_u64(&mut execute, 1); // handle
+    put_u32(&mut execute, 64); // chunk rows
+    put_u32(&mut execute, 1); // one binding
+    put_str(&mut execute, "p");
+    execute.extend_from_slice(&deep);
+
+    let (handle, addr, _ds) = serve_default();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    for (id, op, body) in [(1, ReqOp::Insert, insert), (2, ReqOp::Execute, execute)] {
+        stream
+            .write_all(&encode_frame(id, op as u8, &body))
+            .unwrap();
+        let (got, response) = read_response(&mut stream).expect("a response");
+        assert_eq!(got, id);
+        assert!(
+            matches!(
+                response,
+                Response::Error {
+                    code: ErrorCode::MalformedBody,
+                    ..
+                }
+            ),
+            "{op:?}: {response:?}"
+        );
+    }
+
+    let body = Request::Stats.encode_body();
+    stream
+        .write_all(&encode_frame(3, ReqOp::Stats as u8, &body))
+        .unwrap();
+    let (id, response) = read_response(&mut stream).expect("the session still answers");
+    assert_eq!(id, 3);
+    assert!(matches!(response, Response::StatsResult { .. }));
+    assert_eq!(handle.stats().session_panics(), 0);
+    handle.shutdown();
+}
+
 #[test]
 fn oversized_corrupt_and_misversioned_frames_close_with_typed_errors() {
     let (handle, addr, _ds) = serve_default();
@@ -222,7 +276,7 @@ fn oversized_corrupt_and_misversioned_frames_close_with_typed_errors() {
     let mut frame = encode_frame(1, ReqOp::Stats as u8, &[]);
     frame[8] = 42;
     let payload_len = frame.len() - 8;
-    let checksum = wire::frame::fnv1a(&frame[8..8 + payload_len]);
+    let checksum = wire::codec::fnv1a(&frame[8..8 + payload_len]);
     frame[4..8].copy_from_slice(&checksum.to_le_bytes());
     stream.write_all(&frame).unwrap();
     let (_, response) = read_response(&mut stream).expect("a response");
